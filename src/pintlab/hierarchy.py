@@ -13,13 +13,14 @@ equation stays consistent with the finest level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .heat import HeatOperator
 from .multigrid import MgConfig, SolvePolicy
-from .quadrature import (QuadratureTable, correction_interpolation,
-                         time_restriction)
+from .quadrature import (TRANSFER_CACHE_SIZE, NodeSet, QuadratureTable,
+                         correction_interpolation, time_restriction)
 from .sdc import NodeStates, residual, sdc_sweep
 from .transfers import full_weighting, inject, interp_space
 
@@ -77,16 +78,18 @@ def _space_interp(u: np.ndarray, fine: Level, coarse: Level) -> np.ndarray:
     return interp_space(u, fine.space_interp_order)
 
 
-def _time_indices(fine: Level, coarse: Level) -> list[int]:
-    r = time_restriction(fine.table.nodes, coarse.table.nodes)
-    return [int(np.argmax(row)) for row in r]
+@lru_cache(maxsize=TRANSFER_CACHE_SIZE)
+def _time_indices(fine: NodeSet, coarse: NodeSet) -> tuple[int, ...]:
+    """Index of the fine node at each coarse node."""
+    r = time_restriction(fine, coarse)
+    return tuple(int(np.argmax(row)) for row in r)
 
 
 def restrict_state(fine_states: NodeStates, fine: Level,
                    coarse: Level) -> NodeStates:
     """Node selection in time, spatial restriction per the fine level's
     policy; the coarse f-cache is recomputed."""
-    idx = _time_indices(fine, coarse)
+    idx = _time_indices(fine.table.nodes, coarse.table.nodes)
     y = np.stack([restrict_space(fine_states.y[i], fine, coarse) for i in idx])
     states = NodeStates(coarse.table, y, np.empty_like(y))
     states.refresh(coarse.operator)
@@ -102,7 +105,7 @@ def compute_fas(fine_states: NodeStates, coarse_states: NodeStates,
     fine_int = dt * np.tensordot(fine.table.q, fine_states.f, axes=(1, 0))
     if fine_tau is not None:
         fine_int = fine_int + fine_tau
-    idx = _time_indices(fine, coarse)
+    idx = _time_indices(fine.table.nodes, coarse.table.nodes)
     restricted_int = np.stack(
         [restrict_space(fine_int[i], fine, coarse) for i in idx])
     coarse_int = dt * np.tensordot(coarse.table.q, coarse_states.f, axes=(1, 0))

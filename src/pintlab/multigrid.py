@@ -3,6 +3,12 @@
 Coarse-level operators are rediscretizations of the fine operator (same
 diffusivity, same shift, same stencil order).  The coarsest level is solved
 directly.  Smoother sweep order is fixed, so solves are bit-reproducible.
+
+Setup and solve are split.  What is fixed per grid and shift -- the
+shifted operator with its chain of coarse-grid operators, the sparse
+matrices, the Gauss-Seidel factor and the direct factorizations -- is
+built lazily on first use and kept in bounded module-level caches, so a
+V-cycle only applies operators and runs prefactored solves.
 """
 
 from __future__ import annotations
@@ -68,10 +74,19 @@ class Direct:
 SolvePolicy = Union[FixedCycles, ToTolerance, Direct]
 
 # The factorization-based triangular solves (LAPACK getrs, SuperLU) are not
-# safe to call concurrently in this stack, unlike solve_banded; serialize
-# them.  They act on tiny coarsest-level or cached systems, so contention
-# under the threaded time-parallel executor is negligible.
+# safe to call concurrently in this stack; serialize them.  Each runs on a
+# cached factor in time proportional to its nonzeros (a Gauss-Seidel sweep's
+# forward substitution, a tiny coarsest-level system, or a direct solve), so
+# contention under the threaded time-parallel executor stays small.
 _FACTOR_SOLVE_LOCK = threading.Lock()
+
+# Bounds of the module-level caches.  A solve uses one entry per grid of
+# its V-cycle chains, and one per (grid, shift) pair: a few dozen in the
+# benchmark workloads and the acceptance studies.  The bounds leave room
+# for many step sizes in one process, while a sweep over ever new shifts
+# cannot grow memory without limit.
+GRID_CACHE_SIZE = 64
+SHIFT_CACHE_SIZE = 256
 
 
 class MultigridError(RuntimeError):
@@ -83,7 +98,7 @@ class MultigridError(RuntimeError):
         self.cycles = cycles
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRID_CACHE_SIZE)
 def _laplacian_1d(n: int, length: float, order: int) -> scipy.sparse.csr_matrix:
     dx2 = (length / n) ** 2
     npts = n - 1
@@ -107,7 +122,7 @@ def _laplacian_1d(n: int, length: float, order: int) -> scipy.sparse.csr_matrix:
     return mat.tocsr()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRID_CACHE_SIZE)
 def _operator_matrix(dim: int, n: int, length: float, nu: float,
                      order: int) -> scipy.sparse.csr_matrix:
     """Sparse matrix of the heat operator in C-order (x fastest)."""
@@ -129,42 +144,45 @@ def operator_matrix(op: HeatOperator) -> scipy.sparse.csr_matrix:
     return _operator_matrix(g.dim, g.n, g.length, op.nu, op.order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SHIFT_CACHE_SIZE)
 def _shifted_matrix(dim, n, length, nu, order, sigma):
     a = _operator_matrix(dim, n, length, nu, order)
     return (scipy.sparse.identity(a.shape[0], format="csr") - sigma * a).tocsr()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SHIFT_CACHE_SIZE)
 def _shifted_lu(dim, n, length, nu, order, sigma):
     return scipy.sparse.linalg.splu(
         _shifted_matrix(dim, n, length, nu, order, sigma).tocsc())
 
 
-@lru_cache(maxsize=None)
-def _shifted_lower_banded(dim, n, length, nu, order, sigma):
-    """Lower-triangular part in LAPACK banded storage, for solve_banded.
+@lru_cache(maxsize=SHIFT_CACHE_SIZE)
+def _gauss_seidel_factor(dim, n, length, nu, order, sigma):
+    """SuperLU factor of the lower triangle of I - sigma*A.
 
-    Stateless per solve, so safe under the threaded time-parallel executor.
+    In natural order and without pivoting the factor of a lower-triangular
+    matrix is its unit lower triangle times its diagonal, so a solve is one
+    forward substitution over the triangle's nonzeros.
     """
     lower = scipy.sparse.tril(
-        _shifted_matrix(dim, n, length, nu, order, sigma), format="coo")
-    n_bands = int(np.max(lower.row - lower.col)) + 1
-    size = lower.shape[0]
-    ab = np.zeros((n_bands, size))
-    for k in range(n_bands):
-        d = lower.diagonal(-k)
-        ab[k, :d.size] = d
-    return ab, n_bands - 1
+        _shifted_matrix(dim, n, length, nu, order, sigma), format="csc")
+    lu = scipy.sparse.linalg.splu(lower, permc_spec="NATURAL",
+                                  diag_pivot_thresh=0.0)
+    identity = np.arange(lower.shape[0])
+    if not (np.array_equal(lu.perm_r, identity)
+            and np.array_equal(lu.perm_c, identity)):
+        raise RuntimeError("SuperLU reordered the Gauss-Seidel triangle; "
+                           "its solve would not be a forward substitution")
+    return lu
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SHIFT_CACHE_SIZE)
 def _coarsest_lu(dim, n, length, nu, order, sigma):
     dense = _shifted_matrix(dim, n, length, nu, order, sigma).toarray()
     return scipy.linalg.lu_factor(dense)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRID_CACHE_SIZE)
 def _red_mask(shape: tuple[int, ...]) -> np.ndarray:
     """Points with even grid coordinate sum (grid indices start at 1)."""
     total = np.zeros(shape, dtype=int)
@@ -176,7 +194,11 @@ def _red_mask(shape: tuple[int, ...]) -> np.ndarray:
 
 
 class ShiftedOperator:
-    """I - sigma * A for a heat (or diagonal) right-hand-side operator."""
+    """I - sigma * A for a heat (or diagonal) right-hand-side operator.
+
+    `shifted_operator` keeps one per (operator, sigma); each holds its
+    coarse-grid operator once a V-cycle has asked for it.
+    """
 
     def __init__(self, base, sigma: float):
         if sigma < 0:
@@ -184,6 +206,8 @@ class ShiftedOperator:
         self.base = base
         self.sigma = sigma
         self._diag = 1.0 - sigma * base.diagonal()
+        self._diag.setflags(write=False)
+        self._coarse = None
 
     @property
     def grid(self) -> Grid:
@@ -194,6 +218,15 @@ class ShiftedOperator:
 
     def diagonal(self) -> np.ndarray:
         return self._diag
+
+    def coarsen(self) -> "ShiftedOperator":
+        """The same shift on the factor-2 coarser grid."""
+        if self._coarse is None:
+            base = self.base
+            self._coarse = shifted_operator(
+                HeatOperator(self.grid.coarsen(), base.nu, base.order),
+                self.sigma)
+        return self._coarse
 
     def _key(self):
         op = self.base
@@ -208,6 +241,12 @@ class ShiftedOperator:
             return lu.solve(b.ravel()).reshape(b.shape)
 
 
+@lru_cache(maxsize=SHIFT_CACHE_SIZE)
+def shifted_operator(base, sigma: float) -> ShiftedOperator:
+    """The cached I - sigma * base, one per (operator, sigma)."""
+    return ShiftedOperator(base, sigma)
+
+
 def smooth(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
            cfg: MgConfig, count: int) -> np.ndarray:
     if u.shape != b.shape:
@@ -217,10 +256,11 @@ def smooth(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
         for _ in range(count):
             u = u + cfg.omega * (b - op.apply(u)) / diag
     elif cfg.smoother == "gauss-seidel":
-        ab, n_lower = _shifted_lower_banded(*op._key())
+        lower = _gauss_seidel_factor(*op._key())
         for _ in range(count):
             r = b - op.apply(u)
-            du = scipy.linalg.solve_banded((n_lower, 0), ab, r.ravel())
+            with _FACTOR_SOLVE_LOCK:
+                du = lower.solve(r.ravel())
             u = u + du.reshape(u.shape)
     else:  # jor-rb
         red = _red_mask(u.shape)
@@ -243,10 +283,8 @@ def v_cycle(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
             return scipy.linalg.lu_solve(lu, b.ravel()).reshape(b.shape)
     u = smooth(op, u, b, cfg, cfg.pre_sweeps)
     r = b - op.apply(u)
-    coarse_grid = grid.coarsen()
-    coarse_op = ShiftedOperator(
-        HeatOperator(coarse_grid, op.base.nu, op.base.order), op.sigma)
-    ec = v_cycle(coarse_op, coarse_grid.zeros(), full_weighting(r), cfg)
+    coarse_op = op.coarsen()
+    ec = v_cycle(coarse_op, coarse_op.grid.zeros(), full_weighting(r), cfg)
     u = u + interp_linear(ec)
     return smooth(op, u, b, cfg, cfg.post_sweeps)
 

@@ -59,6 +59,13 @@ class _SerialExchange:
         return self._board[(sender, level, tag)]
 
 
+class _Aborted(Exception):
+    """Raised in a rank thread when another rank's thread has failed."""
+
+
+_ABORT = object()  # tag of the message that wakes a blocked receiver
+
+
 class _Channel:
     """FIFO single-producer/single-consumer channel with tag memory.
 
@@ -78,6 +85,8 @@ class _Channel:
             return self._last[1]
         while True:
             got_tag, payload = self._q.get()
+            if got_tag is _ABORT:
+                raise _Aborted
             self._last = (got_tag, payload)
             if got_tag == tag:
                 return payload
@@ -87,12 +96,20 @@ class _ThreadedExchange:
     def __init__(self, n_ranks: int, n_levels: int):
         self._channels = {(r, l): _Channel()
                           for r in range(n_ranks) for l in range(n_levels)}
+        self.aborted = threading.Event()
 
     def send(self, sender: int, level: int, tag, payload) -> None:
         self._channels[(sender, level)].send(tag, payload)
 
     def recv(self, sender: int, level: int, tag):
         return self._channels[(sender, level)].recv(tag)
+
+    def abort(self) -> None:
+        """Stop every rank: receivers, blocked or not yet, raise _Aborted
+        once the messages sent before the abort are used up."""
+        self.aborted.set()
+        for channel in self._channels.values():
+            channel.send(_ABORT, None)
 
 
 class _RankHooks(Hooks):
@@ -229,14 +246,20 @@ def _run_block_serial(engine: _BlockEngine, block: int) -> None:
 
 
 def _run_block_threaded(engine: _BlockEngine, block: int) -> None:
+    """Runs each rank in its own thread.  A rank that raises stops the
+    others, and the first such exception is raised here after the join."""
     p = engine.p
+    exchange = engine.exchange
+    failures: list[BaseException] = []
 
-    def worker(rank: int):
+    def run_rank(rank: int):
         for phase in range(0, rank + 1):
             engine.predictor_phase(rank, phase)
         engine.predictor_finalize(rank)
         frozen = False
         for k in range(1, engine.max_iter + 1):
+            if exchange.aborted.is_set():
+                return
             if frozen:
                 engine.resend(rank, k)
             else:
@@ -246,11 +269,22 @@ def _run_block_threaded(engine: _BlockEngine, block: int) -> None:
             if rank == p - 1 and frozen:
                 break
 
+    def worker(rank: int):
+        try:
+            run_rank(rank)
+        except _Aborted:
+            pass
+        except BaseException as exc:  # re-raised in the calling thread
+            failures.append(exc)
+            exchange.abort()
+
     threads = [threading.Thread(target=worker, args=(r,)) for r in range(p)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
+    if failures:
+        raise failures[0]
 
 
 def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,12 +134,20 @@ def _match_indices(fine: NodeSet, coarse: NodeSet) -> list[int]:
     return indices
 
 
+# Time transfers are cached per pair of node sets (a hierarchy has one
+# pair per adjacent levels) and returned read-only, since every caller
+# shares the same array.
+TRANSFER_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=TRANSFER_CACHE_SIZE)
 def time_restriction(fine: NodeSet, coarse: NodeSet) -> np.ndarray:
     """Pointwise selection matrix taking fine node values to coarse nodes."""
     indices = _match_indices(fine, coarse)
     r = np.zeros((coarse.m + 1, fine.m + 1))
     for row, idx in enumerate(indices):
         r[row, idx] = 1.0
+    r.setflags(write=False)
     return r
 
 
@@ -162,6 +171,7 @@ def time_interpolation(coarse: NodeSet, fine: NodeSet) -> np.ndarray:
     return p
 
 
+@lru_cache(maxsize=TRANSFER_CACHE_SIZE)
 def correction_interpolation(coarse: NodeSet, fine: NodeSet) -> np.ndarray:
     """Interpolation matrix for node-value *corrections*.
 
@@ -187,4 +197,5 @@ def correction_interpolation(coarse: NodeSet, fine: NodeSet) -> np.ndarray:
                 acc += c * power
                 power *= tf
             p[row, col + 1] = float(acc)
+    p.setflags(write=False)
     return p

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import multigrid
 from .heat import DiagonalOperator, HeatOperator
-from .multigrid import MgConfig, MultigridError, ShiftedOperator, SolvePolicy
+from .multigrid import MgConfig, MultigridError, SolvePolicy
 from .quadrature import QuadratureTable
 
 COLLOCATION_DOF_LIMIT = 50_000
@@ -102,7 +102,7 @@ def sdc_sweep(states: NodeStates, y0: np.ndarray, dt: float, op,
         rhs = states.y[m] - dtm * states.f[m + 1] + s[m]
         if tau is not None:
             rhs = rhs + (tau[m + 1] - tau[m])
-        shifted = ShiftedOperator(op, dtm)
+        shifted = multigrid.shifted_operator(op, dtm)
         try:
             result = multigrid.solve(shifted, states.y[m + 1].copy(), rhs,
                                      mg_cfg, policy)

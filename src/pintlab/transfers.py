@@ -50,7 +50,7 @@ def interp_linear(u: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # one entry per grid size
 def _cubic_matrix(nf: int) -> np.ndarray:
     """(nf-1) x (nf/2-1) cubic interpolation matrix for factor-2 refinement.
 

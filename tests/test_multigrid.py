@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pintlab import hierarchy, multigrid, quadrature, transfers
 from pintlab.heat import Grid, HeatOperator, scalar_operator
 from pintlab.multigrid import (
     Direct,
@@ -14,6 +15,7 @@ from pintlab.multigrid import (
     ShiftedOperator,
     ToTolerance,
     operator_matrix,
+    shifted_operator,
     smooth,
     solve,
     v_cycle,
@@ -25,6 +27,20 @@ EPS = np.finfo(float).eps
 
 def shifted(dim=1, n=64, sigma=1e-3, nu=1.0, order=2):
     return ShiftedOperator(HeatOperator(Grid(dim, n), nu, order), sigma)
+
+
+def check_gauss_seidel_sweep(dim, n, order, sigma):
+    """One sweep from u must equal u + L^{-1} (b - A u), with L = tril(A)
+    solved densely."""
+    op = shifted(dim, n, sigma=sigma, order=order)
+    a = np.eye(op.grid.dof) - sigma * operator_matrix(op.base).toarray()
+    rng = np.random.default_rng(4)
+    u = rng.standard_normal(op.grid.dof)
+    b = rng.standard_normal(op.grid.dof)
+    expected = u + np.linalg.solve(np.tril(a), b - a @ u)
+    out = smooth(op, u.reshape(op.grid.shape), b.reshape(op.grid.shape),
+                 MgConfig(smoother="gauss-seidel"), 1)
+    np.testing.assert_allclose(out.ravel(), expected, atol=1e-11)
 
 
 class TestShiftedOperator:
@@ -51,6 +67,17 @@ class TestShiftedOperator:
         op = ShiftedOperator(scalar_operator(-4.0), 0.5)
         np.testing.assert_allclose(op.solve_direct(np.array([6.0])), [2.0])
 
+    def test_one_cached_operator_chain_per_shift(self):
+        base = HeatOperator(Grid(2, 16), 0.5, 4)
+        op = shifted_operator(base, 0.01)
+        assert shifted_operator(HeatOperator(Grid(2, 16), 0.5, 4), 0.01) is op
+        coarse = op.coarsen()
+        assert coarse is op.coarsen()
+        assert coarse is shifted_operator(HeatOperator(Grid(2, 8), 0.5, 4), 0.01)
+        assert coarse.sigma == 0.01 and coarse.grid.n == 8
+        with pytest.raises(ValueError):
+            op.diagonal()[0] = 0.0  # shared by every caller
+
 
 class TestSmoothers:
     @pytest.mark.parametrize("smoother", ["jacobi", "gauss-seidel", "jor-rb"])
@@ -75,16 +102,28 @@ class TestSmoothers:
         assert np.linalg.norm(u - exact) < np.linalg.norm(exact)
 
     def test_gauss_seidel_is_exact_lower_solve(self):
-        # one sweep from u must equal u + L^{-1} (b - A u)
-        op = shifted(1, 16, sigma=0.02)
-        a = np.eye(op.grid.dof) - 0.02 * operator_matrix(op.base).toarray()
-        lower = np.tril(a)
-        rng = np.random.default_rng(4)
-        u = rng.standard_normal(op.grid.shape)
-        b = rng.standard_normal(op.grid.shape)
-        expected = u + np.linalg.solve(lower, b - a @ u)
-        out = smooth(op, u, b, MgConfig(smoother="gauss-seidel"), 1)
-        np.testing.assert_allclose(out, expected, atol=1e-11)
+        check_gauss_seidel_sweep(1, 16, 2, 0.02)
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.02, 0.5])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 16), (3, 8)])
+    def test_gauss_seidel_is_exact_lower_solve_nd(self, dim, n, order, sigma):
+        check_gauss_seidel_sweep(dim, n, order, sigma)
+
+    @pytest.mark.parametrize("dim,n,order", [(1, 32, 2), (2, 16, 4), (3, 8, 4)])
+    def test_gauss_seidel_factor_keeps_natural_order(self, dim, n, order):
+        op = shifted(dim, n, sigma=0.05, order=order)
+        lu = multigrid._gauss_seidel_factor(*op._key())
+        identity = np.arange(op.grid.dof)
+        np.testing.assert_array_equal(lu.perm_r, identity)
+        np.testing.assert_array_equal(lu.perm_c, identity)
+
+    def test_gauss_seidel_factor_stores_the_triangle_only(self):
+        # 3D order 4 has at most 7 nonzeros per row in the lower triangle;
+        # banded storage held bandwidth x N = 962 x 29,791 values here
+        op = shifted(3, 32, sigma=1e-3, order=4)
+        lu = multigrid._gauss_seidel_factor(*op._key())
+        assert lu.L.nnz + lu.U.nnz <= 14 * op.grid.dof
 
     def test_zero_sweeps_is_identity(self):
         op = shifted()
@@ -230,3 +269,31 @@ class TestConfigValidation:
             ToTolerance(tol=0.0)
         with pytest.raises(ValueError):
             ToTolerance(stall=1.5)
+
+
+def _lru_caches():
+    for module in (multigrid, transfers, quadrature, hierarchy):
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info"):
+                yield f"{module.__name__}.{name}", value
+
+
+class TestCacheBounds:
+    def test_every_cache_is_bounded(self):
+        unbounded = [name for name, cache in _lru_caches()
+                     if cache.cache_info().maxsize is None]
+        assert not unbounded
+
+    def test_many_shifts_stay_within_bounds(self):
+        cfg = MgConfig(smoother="gauss-seidel")
+        b = np.ones(7)
+        for i in range(multigrid.SHIFT_CACHE_SIZE + 40):
+            sigma = 1e-3 * (1.0 + i)
+            op = shifted_operator(HeatOperator(Grid(1, 8)), sigma)
+            solve(op, np.zeros_like(b), b, cfg, FixedCycles(1))
+            solve(op, np.zeros_like(b), b, cfg, Direct())
+        for name, cache in _lru_caches():
+            info = cache.cache_info()
+            assert info.currsize <= info.maxsize, name
+        assert multigrid.shifted_operator.cache_info().currsize == \
+            multigrid.SHIFT_CACHE_SIZE

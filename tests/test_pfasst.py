@@ -1,11 +1,17 @@
 """Tests for the pipelined time-parallel engine."""
 
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from pintlab.cli import PRESETS, build_levels
+from pintlab.config import parse_config
 from pintlab.heat import Grid, HeatOperator, initial_condition
 from pintlab.hierarchy import Level, run_mlsdc
-from pintlab.multigrid import Direct, FixedCycles, MgConfig
+from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
 from pintlab.pfasst import (
     PfasstResult,
     pfasst_run,
@@ -13,6 +19,7 @@ from pintlab.pfasst import (
     write_trace_csv,
 )
 from pintlab.quadrature import uniform_table
+from pintlab.sdc import SubStepError
 
 
 def make_levels(n=32, policy=None, dim=1):
@@ -144,3 +151,57 @@ class TestValidation:
 
     def test_predictor_sweep_counts(self):
         assert predictor_sweep_counts(4) == [1, 2, 3, 4]
+
+
+class TestCachedSetup:
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    def test_repeat_runs_are_bitwise_equal(self, executor, cold_caches):
+        levels = make_levels()
+        u0 = initial_condition(levels[0].grid, 1)
+        a, b = (pfasst_run(levels, u0, 0.25, p=4, tol=1e-10, max_iter=12,
+                           executor=executor) for _ in range(2))
+        np.testing.assert_array_equal(a.u, b.u)
+        assert a.rank_iterations == b.rank_iterations
+        assert a.rank_vcycles == b.rank_vcycles
+
+    def test_threaded_cold_start_matches_serial(self, cold_caches):
+        # four rank threads race to build the shared operators and
+        # factors; a short switch interval makes them interleave often
+        levels = make_levels()
+        u0 = initial_condition(levels[0].grid, 1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = pfasst_run(levels, u0, 0.25, p=4, tol=1e-10,
+                                  max_iter=12, executor="threaded")
+        finally:
+            sys.setswitchinterval(interval)
+        serial = pfasst_run(levels, u0, 0.25, p=4, tol=1e-10, max_iter=12)
+        np.testing.assert_array_equal(threaded.u, serial.u)
+        assert threaded.rank_iterations == serial.rank_iterations
+        assert threaded.rank_vcycles == serial.rank_vcycles
+
+
+class TestFailures:
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    def test_substep_failure_raises_promptly(self, executor):
+        # weak-scaling levels where one V-cycle cannot reach 1e-15: rank 0
+        # fails in its predictor while rank 1 waits for its message
+        cfg = parse_config(None, {"n_x": "32", "n_t": "2", "p": "2"},
+                           experiment="weak-scaling", **PRESETS["weak-scaling"])
+        levels = [replace(lvl, policy=ToTolerance(tol=1e-15, max_cycles=1))
+                  for lvl in build_levels(cfg)]
+        u0 = initial_condition(levels[0].grid, 1)
+        outcome = []
+
+        def run():
+            try:
+                pfasst_run(levels, u0, cfg.t_end, p=2, executor=executor)
+            except SubStepError as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "pfasst_run did not return"
+        assert len(outcome) == 1

@@ -106,6 +106,12 @@ class TestTimeRestriction:
         with pytest.raises(ValueError):
             time_restriction(uniform_nodes(3), uniform_nodes(2))
 
+    def test_cached_and_read_only(self):
+        r = time_restriction(uniform_nodes(4), uniform_nodes(2))
+        assert time_restriction(uniform_nodes(4), uniform_nodes(2)) is r
+        with pytest.raises(ValueError):
+            r[0, 0] = 2.0
+
 
 class TestTimeInterpolation:
     def test_midpoint_row(self):
@@ -138,6 +144,12 @@ class TestTimeInterpolation:
 
 
 class TestCorrectionInterpolation:
+    def test_cached_and_read_only(self):
+        p = correction_interpolation(uniform_nodes(2), uniform_nodes(4))
+        assert correction_interpolation(uniform_nodes(2), uniform_nodes(4)) is p
+        with pytest.raises(ValueError):
+            p[1, 1] = 2.0
+
     def test_shape_and_t0_selection(self):
         p = correction_interpolation(uniform_nodes(1), uniform_nodes(2))
         assert p.shape == (3, 2)

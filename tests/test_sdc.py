@@ -181,6 +181,18 @@ class TestRunSdc:
         slopes = np.log2(np.array(errs[:-1]) / errs[1:])
         assert slopes[-1] > min_slope
 
+    def test_repeat_runs_are_bitwise_equal(self, cold_caches):
+        # the first run builds the cached operators and factors, the
+        # second reuses them
+        op = HeatOperator(Grid(2, 16), 1.0, 4)
+        u0 = initial_condition(op.grid, 1)
+        runs = [run_sdc(op, uniform_table(2), u0, 0.02, 2, 1e-10, 20,
+                        MgConfig(smoother="gauss-seidel"), ToTolerance(1e-10))
+                for _ in range(2)]
+        np.testing.assert_array_equal(runs[0].u, runs[1].u)
+        assert runs[0].iterations == runs[1].iterations
+        assert runs[0].vcycles == runs[1].vcycles > 0
+
     def test_inexact_and_exact_agree_when_converged(self):
         g = Grid(1, 32)
         op = HeatOperator(g, 1.0, 2)
