@@ -8,7 +8,9 @@ fully resolved configuration appended as `#` comment lines, so any output
 file can be reproduced from its own footer.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical
-non-convergence (the CSV is still written), 4 I/O error.
+non-convergence (the CSV is still written) or failure (a multigrid solve
+that did not converge or whose residual is not finite; no CSV), 4 I/O
+error.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from .config import (ConfigError, ExperimentConfig, parse_config,
                      resolved_lines, validate)
 from .heat import Grid, HeatOperator, exact_ode, exact_pde, initial_condition
 from .hierarchy import Level, run_mlsdc
-from .multigrid import Direct, FixedCycles, MgConfig, ToTolerance
+from .multigrid import (Direct, FixedCycles, MgConfig, MultigridError,
+                        ToTolerance)
 from .pfasst import pfasst_run
 from .quadrature import uniform_table
-from .sdc import run_sdc
+from .sdc import SubStepError, run_sdc
 
 OK = "ok"
 NO_CONVERGENCE = "max-iter"
@@ -138,7 +141,7 @@ def _per_iteration_rows(cfg: ExperimentConfig, prefix: tuple):
 def run_vcycle_study(cfg: ExperimentConfig):
     rows, all_ok = [], True
     for v in range(1, 11):
-        sub = validate_sub(replace(cfg, policy=f"fixed:{v}"))
+        sub = validate(replace(cfg, policy=f"fixed:{v}"))
         new, ok, _ = _per_iteration_rows(sub, (v,))
         rows.extend(new)
         all_ok = all_ok and ok
@@ -150,7 +153,7 @@ def run_vcycle_study(cfg: ExperimentConfig):
 def run_weak_scaling(cfg: ExperimentConfig):
     rows, all_ok = [], True
     for n in (32, 64, 128):
-        sub = validate_sub(replace(cfg, n_x=n, n_t=n, p=n))
+        sub = validate(replace(cfg, n_x=n, n_t=n, p=n))
         new, ok, _ = _per_iteration_rows(sub, (n,))
         rows.extend(new)
         all_ok = all_ok and ok
@@ -207,10 +210,6 @@ def run_single(cfg: ExperimentConfig):
     return header, rows, converged
 
 
-def validate_sub(cfg: ExperimentConfig) -> ExperimentConfig:
-    return validate(cfg)
-
-
 DRIVERS = {
     "damping": run_damping,
     "order-study": run_order_study,
@@ -252,7 +251,11 @@ def write_csv(path: str, header: list[str], rows: list[tuple],
 
 
 def run_experiment(cfg: ExperimentConfig) -> int:
-    header, rows, converged = DRIVERS[cfg.experiment](cfg)
+    try:
+        header, rows, converged = DRIVERS[cfg.experiment](cfg)
+    except (MultigridError, SubStepError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     out = cfg.out or f"{cfg.experiment}.csv"
     try:
         write_csv(out, header, rows, cfg)

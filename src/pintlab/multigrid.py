@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .heat import DiagonalOperator, Grid, HeatOperator
+from .heat import DiagonalOperator, Grid, HeatOperator, laplacian_1d
 from .transfers import full_weighting, interp_linear
 
 
@@ -90,7 +90,8 @@ SHIFT_CACHE_SIZE = 256
 
 
 class MultigridError(RuntimeError):
-    """Tolerance solve hit the cycle cap without converging or stalling."""
+    """Tolerance solve hit the cycle cap without converging or stalling,
+    or its residual is not finite."""
 
     def __init__(self, message, residual, cycles):
         super().__init__(message)
@@ -99,34 +100,10 @@ class MultigridError(RuntimeError):
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
-def _laplacian_1d(n: int, length: float, order: int) -> scipy.sparse.csr_matrix:
-    dx2 = (length / n) ** 2
-    npts = n - 1
-    if order == 2:
-        mat = scipy.sparse.diags(
-            [1.0, -2.0, 1.0], [-1, 0, 1], shape=(npts, npts)) / dx2
-        return mat.tocsr()
-    mat = scipy.sparse.lil_matrix((npts, npts))
-    for i in range(npts):
-        if i == 0 or i == npts - 1:
-            mat[i, i] = -2.0 / dx2
-            if i - 1 >= 0:
-                mat[i, i - 1] = 1.0 / dx2
-            if i + 1 < npts:
-                mat[i, i + 1] = 1.0 / dx2
-        else:
-            for off, w in ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0)):
-                j = i + off
-                if 0 <= j < npts:
-                    mat[i, j] = w / (12.0 * dx2)
-    return mat.tocsr()
-
-
-@lru_cache(maxsize=GRID_CACHE_SIZE)
 def _operator_matrix(dim: int, n: int, length: float, nu: float,
                      order: int) -> scipy.sparse.csr_matrix:
     """Sparse matrix of the heat operator in C-order (x fastest)."""
-    d1 = _laplacian_1d(n, length, order)
+    d1 = scipy.sparse.csr_matrix(laplacian_1d(n, length, order))
     npts = n - 1
     eye = scipy.sparse.identity(npts, format="csr")
     total = None
@@ -296,6 +273,16 @@ class SolveResult:
     status: str  # direct | fixed | converged | stalled
 
 
+def _finite_residual(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
+                     cycles: int) -> float:
+    """Residual norm; a NaN would compare as converged, so it raises."""
+    res = np.linalg.norm((b - op.apply(u)).ravel())
+    if not np.isfinite(res):
+        raise MultigridError(
+            f"non-finite residual after {cycles} V-cycles", res, cycles)
+    return res
+
+
 def solve(op: ShiftedOperator, u0: np.ndarray, b: np.ndarray,
           cfg: MgConfig, policy: SolvePolicy) -> SolveResult:
     if isinstance(policy, Direct):
@@ -310,7 +297,7 @@ def solve(op: ShiftedOperator, u0: np.ndarray, b: np.ndarray,
     if bnorm == 0.0:
         return SolveResult(np.zeros_like(b), 0, "converged")
     u = u0
-    res = np.linalg.norm((b - op.apply(u)).ravel())
+    res = _finite_residual(op, u, b, 0)
     cycles = 0
     while res > policy.tol * bnorm:
         if cycles >= policy.max_cycles:
@@ -319,7 +306,7 @@ def solve(op: ShiftedOperator, u0: np.ndarray, b: np.ndarray,
                 f"(relative residual {res / bnorm:.3e})", res, cycles)
         u = v_cycle(op, u, b, cfg)
         cycles += 1
-        new_res = np.linalg.norm((b - op.apply(u)).ravel())
+        new_res = _finite_residual(op, u, b, cycles)
         if new_res > policy.tol * bnorm and new_res >= policy.stall * res:
             return SolveResult(u, cycles, "stalled")
         res = new_res

@@ -321,11 +321,6 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
     return result
 
 
-def predictor_sweep_counts(p: int) -> list[int]:
-    """Coarse burn-in sweeps per rank under the pipelined schedule."""
-    return [n + 1 for n in range(p)]
-
-
 def write_trace_csv(rows: list[TraceRow], path: str) -> None:
     with open(path, "w") as fh:
         fh.write("block,rank,iter,level,residual,vcycles\n")

@@ -151,32 +151,12 @@ def time_restriction(fine: NodeSet, coarse: NodeSet) -> np.ndarray:
     return r
 
 
-def time_interpolation(coarse: NodeSet, fine: NodeSet) -> np.ndarray:
-    """Lagrange interpolation matrix from coarse nodes to fine nodes.
-
-    Rows at nodes shared with the coarse set are exact selection rows
-    (the weights are built in rational arithmetic).
-    """
-    _match_indices(fine, coarse)  # reject non-nested sets up front
-    basis = _lagrange_basis(list(coarse.nodes))
-    p = np.zeros((fine.m + 1, coarse.m + 1))
-    for row, tf in enumerate(fine.nodes):
-        for col, poly in enumerate(basis):
-            acc = Fraction(0)
-            power = Fraction(1)
-            for c in poly:
-                acc += c * power
-                power *= tf
-            p[row, col] = float(acc)
-    return p
-
-
 @lru_cache(maxsize=TRANSFER_CACHE_SIZE)
 def correction_interpolation(coarse: NodeSet, fine: NodeSet) -> np.ndarray:
     """Interpolation matrix for node-value *corrections*.
 
-    Unlike `time_interpolation`, the interpolant for rows at quadrature
-    nodes is built on the coarse quadrature nodes only; the left endpoint
+    The interpolant for rows at quadrature nodes is built on the coarse
+    quadrature nodes only, not on all coarse nodes; the left endpoint
     maps by selection.  Corrections of stiff components vanish at the
     quadrature nodes but not at t_0, and dragging the t_0 value into the
     interpolant re-excites exactly the components the sweeps have already

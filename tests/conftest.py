@@ -2,9 +2,9 @@
 
 import pytest
 
-from pintlab import hierarchy, multigrid, quadrature, transfers
+from pintlab import heat, hierarchy, multigrid, quadrature, transfers
 
-CACHED_MODULES = (multigrid, transfers, quadrature, hierarchy)
+CACHED_MODULES = (heat, multigrid, transfers, quadrature, hierarchy)
 
 
 @pytest.fixture

@@ -203,6 +203,22 @@ class TestMainExitCodes:
         assert "tolerance not reached" in capsys.readouterr().err
 
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # the diffusivity overflows the residual norm; the solve must fail
+        # instead of reporting a non-finite state as converged
+        out = tmp_path / "res.csv"
+        code = main(["single-run", "--out", str(out),
+                     "--set", "variant=ISDC", "--set", "policy=tolerance:1e-10",
+                     "--set", "n_x=16", "--set", "n_t=2",
+                     "--set", "nu=1e300"])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: sub-step 1:")
+
+
 class TestCsvOutput:
     def test_header_rows_and_footer(self, tmp_path):
         out = tmp_path / "res.csv"

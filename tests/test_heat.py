@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pintlab import heat
 from pintlab.heat import (
     DiagonalOperator,
     Grid,
@@ -17,6 +18,46 @@ from pintlab.heat import (
 )
 
 EPS = np.finfo(float).eps
+
+
+def _axis_slices(dim: int, axis: int, s: slice) -> tuple:
+    idx = [slice(None)] * dim
+    idx[axis] = s
+    return tuple(idx)
+
+
+def stencil_apply(op: HeatOperator, u: np.ndarray) -> np.ndarray:
+    """The operator as a padded finite-difference stencil: the reference
+    for the Kronecker-sum apply."""
+    dx2 = op.grid.dx ** 2
+    dim = op.grid.dim
+    out = np.zeros_like(u)
+    for axis in range(dim):
+        p = [(0, 0)] * dim
+        if op.order == 2:
+            p[axis] = (1, 1)
+            up = np.pad(u, p)
+            out += (up[_axis_slices(dim, axis, slice(0, -2))]
+                    - 2.0 * u
+                    + up[_axis_slices(dim, axis, slice(2, None))]) / dx2
+        else:
+            p[axis] = (2, 2)
+            up = np.pad(u, p)
+            d4 = (-up[_axis_slices(dim, axis, slice(0, -4))]
+                  + 16.0 * up[_axis_slices(dim, axis, slice(1, -3))]
+                  - 30.0 * u
+                  + 16.0 * up[_axis_slices(dim, axis, slice(3, -1))]
+                  - up[_axis_slices(dim, axis, slice(4, None))]) / (12.0 * dx2)
+            # order-2 closure at the first point inside each boundary
+            d2 = (up[_axis_slices(dim, axis, slice(1, -3))]
+                  - 2.0 * u
+                  + up[_axis_slices(dim, axis, slice(3, -1))]) / dx2
+            edge = _axis_slices(dim, axis, slice(0, 1))
+            d4[edge] = d2[edge]
+            edge = _axis_slices(dim, axis, slice(-1, None))
+            d4[edge] = d2[edge]
+            out += d4
+    return op.nu * out
 
 
 def dense_matrix(op: HeatOperator) -> np.ndarray:
@@ -135,6 +176,39 @@ class TestStencils:
             op = HeatOperator(Grid(dim, 8), nu=0.7, order=order)
             np.testing.assert_allclose(op.diagonal().ravel(),
                                        np.diag(dense_matrix(op)))
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_apply_matches_stencil(self, dim, order, n):
+        op = HeatOperator(Grid(dim, n, length=2.0), nu=1.0 / 3.0, order=order)
+        u = np.random.default_rng(n + dim).standard_normal(op.grid.shape)
+        expected = stencil_apply(op, u)
+        scale = np.max(np.abs(expected))
+        np.testing.assert_allclose(op.apply(u), expected, rtol=0,
+                                   atol=1e-13 * scale)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_apply_leaves_input_unchanged(self, dim):
+        op = HeatOperator(Grid(dim, 8), nu=0.5, order=4)
+        u = np.random.default_rng(dim).standard_normal(op.grid.shape)
+        before = u.copy()
+        op.apply(u)
+        np.testing.assert_array_equal(u, before)
+
+    def test_factor_cache_bounded_and_read_only(self, cold_caches):
+        ops = [HeatOperator(Grid(1, 8), nu=1.0 + k, order=2)
+               for k in range(heat.FACTOR_CACHE_SIZE + 8)]
+        for op in ops:
+            op.apply(np.ones(op.grid.shape))
+        info = heat._axis_factor.cache_info()
+        assert info.maxsize == heat.FACTOR_CACHE_SIZE
+        assert info.currsize == heat.FACTOR_CACHE_SIZE
+        factor = ops[-1]._factor()
+        assert factor is ops[-1]._factor()
+        assert factor.shape == (7, 7)
+        with pytest.raises(ValueError):
+            factor[0, 0] = 1.0
 
     def test_shape_check(self):
         op = HeatOperator(Grid(2, 8))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,6 +42,54 @@ def check_gauss_seidel_sweep(dim, n, order, sigma):
     out = smooth(op, u.reshape(op.grid.shape), b.reshape(op.grid.shape),
                  MgConfig(smoother="gauss-seidel"), 1)
     np.testing.assert_allclose(out.ravel(), expected, atol=1e-11)
+
+
+def old_operator_matrix(dim, n, length, nu, order):
+    """The operator matrix as built before the 1D matrix moved to the heat
+    module: a lil_matrix filled row by row, then Kronecker products."""
+    dx2 = (length / n) ** 2
+    npts = n - 1
+    if order == 2:
+        d1 = (scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1],
+                                 shape=(npts, npts)) / dx2).tocsr()
+    else:
+        mat = scipy.sparse.lil_matrix((npts, npts))
+        for i in range(npts):
+            if i == 0 or i == npts - 1:
+                mat[i, i] = -2.0 / dx2
+                if i - 1 >= 0:
+                    mat[i, i - 1] = 1.0 / dx2
+                if i + 1 < npts:
+                    mat[i, i + 1] = 1.0 / dx2
+            else:
+                for off, w in ((-2, -1.0), (-1, 16.0), (0, -30.0),
+                               (1, 16.0), (2, -1.0)):
+                    j = i + off
+                    if 0 <= j < npts:
+                        mat[i, j] = w / (12.0 * dx2)
+        d1 = mat.tocsr()
+    eye = scipy.sparse.identity(npts, format="csr")
+    total = None
+    for axis in range(dim):
+        factors = [d1 if ax == axis else eye for ax in range(dim)]
+        term = factors[0]
+        for f in factors[1:]:
+            term = scipy.sparse.kron(term, f, format="csr")
+        total = term if total is None else total + term
+    return (nu * total).tocsr()
+
+
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("dim,n", [(1, 2), (1, 4), (1, 64), (2, 8), (2, 32),
+                                   (3, 4), (3, 16)])
+def test_operator_matrix_unchanged(dim, n, order):
+    op = HeatOperator(Grid(dim, n, length=2.0), nu=1.0 / 3.0, order=order)
+    new = operator_matrix(op)
+    old = old_operator_matrix(dim, n, 2.0, 1.0 / 3.0, order)
+    np.testing.assert_array_equal(new.indptr, old.indptr)
+    np.testing.assert_array_equal(new.indices, old.indices)
+    np.testing.assert_array_equal(new.data.view(np.int64),
+                                  old.data.view(np.int64))
 
 
 class TestShiftedOperator:
@@ -241,6 +290,20 @@ class TestSolvePolicies:
         b = rng.standard_normal(op.grid.shape)
         res = solve(op, np.zeros_like(b), b, cfg, ToTolerance(1e-14))
         assert res.status == "stalled"
+
+    @pytest.mark.parametrize("where", ["initial", "rhs"])
+    def test_non_finite_residual_raises(self, where):
+        # NaN > tol * |b| is False, so an unchecked NaN residual would
+        # report the solve as converged
+        op = shifted(1, 32, sigma=0.05)
+        b = np.random.default_rng(12).standard_normal(op.grid.shape)
+        u0 = np.zeros_like(b)
+        if where == "initial":
+            u0[3] = np.nan
+        else:
+            b[3] = np.inf
+        with pytest.raises(MultigridError, match="non-finite"):
+            solve(op, u0, b, MgConfig(), ToTolerance(1e-10))
 
     def test_cycle_cap_raises(self):
         # a healthy V-cycle contracts by roughly 0.1 per cycle, which cannot

@@ -15,7 +15,6 @@ from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
 from pintlab.pfasst import (
     PfasstResult,
     pfasst_run,
-    predictor_sweep_counts,
     write_trace_csv,
 )
 from pintlab.quadrature import uniform_table
@@ -148,9 +147,6 @@ class TestValidation:
             pfasst_run(levels, u0, 0.25, p=0)
         with pytest.raises(ValueError):
             pfasst_run(levels, u0, 0.25, p=2, blocks=0)
-
-    def test_predictor_sweep_counts(self):
-        assert predictor_sweep_counts(4) == [1, 2, 3, 4]
 
 
 class TestCachedSetup:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pintlab.quadrature import (build_q, correction_interpolation,
-                                time_interpolation, time_restriction,
-                                uniform_nodes, uniform_table)
+                                time_restriction, uniform_nodes,
+                                uniform_table)
 
 EPS = np.finfo(float).eps
 
@@ -111,36 +111,6 @@ class TestTimeRestriction:
         assert time_restriction(uniform_nodes(4), uniform_nodes(2)) is r
         with pytest.raises(ValueError):
             r[0, 0] = 2.0
-
-
-class TestTimeInterpolation:
-    def test_midpoint_row(self):
-        p = time_interpolation(uniform_nodes(1), uniform_nodes(2))
-        np.testing.assert_allclose(p[1], [0.5, 0.5])
-
-    def test_identity_when_equal(self):
-        p = time_interpolation(uniform_nodes(2), uniform_nodes(2))
-        np.testing.assert_allclose(p, np.eye(3), atol=10 * EPS)
-
-    @given(st.sampled_from([(1, 2), (2, 4), (1, 4)]),
-           st.integers(min_value=0, max_value=10))
-    def test_polynomial_reproduction(self, pair, seed):
-        m_c, m_f = pair
-        coarse, fine = uniform_nodes(m_c), uniform_nodes(m_f)
-        rng = np.random.default_rng(seed)
-        coeffs = rng.standard_normal(m_c + 1)  # degree <= M_c
-        p = time_interpolation(coarse, fine)
-        vals_c = np.polyval(coeffs, coarse.as_array())
-        vals_f = np.polyval(coeffs, fine.as_array())
-        np.testing.assert_allclose(p @ vals_c, vals_f, atol=1e-12)
-
-    @pytest.mark.parametrize("pair", [(1, 2), (2, 4), (1, 4)])
-    def test_restriction_of_interpolant_is_identity(self, pair):
-        m_c, m_f = pair
-        coarse, fine = uniform_nodes(m_c), uniform_nodes(m_f)
-        r = time_restriction(fine, coarse)
-        p = time_interpolation(coarse, fine)
-        np.testing.assert_allclose(r @ p, np.eye(m_c + 1), atol=1e-13)
 
 
 class TestCorrectionInterpolation:
