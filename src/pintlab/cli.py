@@ -19,7 +19,6 @@ import argparse
 import csv
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .analysis import damping_scan
 from .config import (ConfigError, ExperimentConfig, parse_config,
                      resolved_lines, validate)
 from .heat import Grid, HeatOperator, exact_ode, exact_pde, initial_condition
-from .hierarchy import Level, run_mlsdc
+from .hierarchy import Level
 from .multigrid import (Direct, FixedCycles, MgConfig, MultigridError,
                         ToTolerance)
 from .pfasst import pfasst_run
@@ -36,10 +35,6 @@ from .sdc import SubStepError, run_sdc
 
 OK = "ok"
 NO_CONVERGENCE = "max-iter"
-
-
-class NonConvergence(Exception):
-    """Signals exit code 3 after the CSV has been written."""
 
 
 def _policy(cfg: ExperimentConfig):
@@ -111,64 +106,62 @@ def run_order_study(cfg: ExperimentConfig):
             all_ok = all_ok and ok
             ode, pde = _errors(cfg, res.u, cfg.t_end)
             rows.append((order, n_t, ode, repr(pde),
-                         repr(res.residuals[-1][-1]),
+                         repr(res.trace[-1].residual),
                          OK if ok else NO_CONVERGENCE))
     header = ["order", "n_t", "ode_error", "pde_error", "residual", "status"]
     return header, rows, all_ok
 
 
-def _per_iteration_rows(cfg: ExperimentConfig, prefix: tuple):
-    """Run the configured IPFASST case; one row per iteration of the
-    last rank, errors taken from its final-node value."""
+def _run(cfg: ExperimentConfig, p: int, record_final_values: bool = False):
+    """Run the configured levels on the time-stepping engine with p ranks
+    per block; SDC and MLSDC variants run on one rank."""
     levels = build_levels(cfg)
-    grid = levels[0].operator.grid
-    u0 = initial_condition(grid, cfg.k)
-    res = pfasst_run(levels, u0, cfg.t_end, cfg.p, blocks=cfg.n_t // cfg.p,
-                     tol=cfg.tol, max_iter=cfg.max_iter,
-                     executor=cfg.executor, record_final_values=True)
-    residuals = [r.residual for r in res.trace
-                 if r.rank == cfg.p - 1 and r.level == 0
-                 and r.block == cfg.n_t // cfg.p - 1]
-    converged = all(res.converged[-1])
-    rows = []
-    for it, (u, resid) in enumerate(zip(res.final_values[-1], residuals), 1):
-        ode, pde = _errors(cfg, u, cfg.t_end)
-        rows.append(prefix + (it, ode, repr(pde), repr(resid),
-                              OK if converged else NO_CONVERGENCE))
-    return rows, converged, res
+    u0 = initial_condition(levels[0].grid, cfg.k)
+    return pfasst_run(levels, u0, cfg.t_end, p, blocks=cfg.n_t // p,
+                      tol=cfg.tol, max_iter=cfg.max_iter,
+                      executor=cfg.executor,
+                      record_final_values=record_final_values)
+
+
+def _per_iteration_rows(cases):
+    """Run each (row prefix, config) IPFASST case; one row per iteration of
+    the last rank, errors taken from its final-node value."""
+    rows, all_ok = [], True
+    for prefix, cfg in cases:
+        res = _run(cfg, cfg.p, record_final_values=True)
+        residuals = [r.residual for r in res.trace
+                     if r.rank == cfg.p - 1 and r.level == 0
+                     and r.block == cfg.n_t // cfg.p - 1]
+        converged = all(res.converged[-1])
+        all_ok = all_ok and converged
+        final = zip(res.final_values[-1], residuals)
+        for it, (u, resid) in enumerate(final, 1):
+            ode, pde = _errors(cfg, u, cfg.t_end)
+            rows.append(prefix + (it, ode, repr(pde), repr(resid),
+                                  OK if converged else NO_CONVERGENCE))
+    return rows, all_ok
 
 
 def run_vcycle_study(cfg: ExperimentConfig):
-    rows, all_ok = [], True
-    for v in range(1, 11):
-        sub = validate(replace(cfg, policy=f"fixed:{v}"))
-        new, ok, _ = _per_iteration_rows(sub, (v,))
-        rows.extend(new)
-        all_ok = all_ok and ok
+    rows, all_ok = _per_iteration_rows(
+        ((v,), validate(replace(cfg, policy=f"fixed:{v}")))
+        for v in range(1, 11))
     header = ["vcycles_per_solve", "iter", "ode_error", "pde_error",
               "residual", "status"]
     return header, rows, all_ok
 
 
 def run_weak_scaling(cfg: ExperimentConfig):
-    rows, all_ok = [], True
-    for n in (32, 64, 128):
-        sub = validate(replace(cfg, n_x=n, n_t=n, p=n))
-        new, ok, _ = _per_iteration_rows(sub, (n,))
-        rows.extend(new)
-        all_ok = all_ok and ok
+    rows, all_ok = _per_iteration_rows(
+        ((n,), validate(replace(cfg, n_x=n, n_t=n, p=n)))
+        for n in (32, 64, 128))
     header = ["n", "iter", "ode_error", "pde_error", "residual", "status"]
     return header, rows, all_ok
 
 
 def run_strong_3d(cfg: ExperimentConfig):
-    levels = build_levels(cfg)
-    grid = levels[0].operator.grid
-    u0 = initial_condition(grid, cfg.k)
-    res = pfasst_run(levels, u0, cfg.t_end, cfg.p, blocks=cfg.n_t // cfg.p,
-                     tol=cfg.tol, max_iter=cfg.max_iter,
-                     executor=cfg.executor)
-    converged = all(all(b) for b in res.converged)
+    res = _run(cfg, cfg.p)
+    converged = not res.exhausted_steps
     _, pde = _errors(cfg, res.u, cfg.t_end)
     rows = [(rank, res.rank_iterations[-1][rank], res.rank_vcycles[-1][rank],
              repr(pde), OK if converged else NO_CONVERGENCE)
@@ -178,33 +171,13 @@ def run_strong_3d(cfg: ExperimentConfig):
 
 
 def run_single(cfg: ExperimentConfig):
-    grid = Grid(cfg.dim, cfg.n_x, cfg.length)
-    u0 = initial_condition(grid, cfg.k)
-    if cfg.variant in ("SDC", "ISDC"):
-        op = HeatOperator(grid, cfg.nu, cfg.orders[0])
-        res = run_sdc(op, uniform_table(cfg.nodes[0] - 1), u0, cfg.t_end,
-                      cfg.n_t, cfg.tol, cfg.max_iter, _mg_config(cfg),
-                      _policy(cfg))
-        converged = not res.exhausted_steps
-        resid = res.residuals[-1][-1]
-        iters, vcycles = sum(res.iterations), res.vcycles
-    elif cfg.variant in ("MLSDC", "IMLSDC"):
-        res = run_mlsdc(build_levels(cfg), u0, cfg.t_end, cfg.n_t,
-                        cfg.tol, cfg.max_iter)
-        converged = not res.exhausted_steps
-        resid = res.residuals[-1][-1]
-        iters, vcycles = sum(res.iterations), res.vcycles
-    else:
-        res = pfasst_run(build_levels(cfg), u0, cfg.t_end, cfg.p,
-                         blocks=cfg.n_t // cfg.p, tol=cfg.tol,
-                         max_iter=cfg.max_iter, executor=cfg.executor)
-        converged = all(all(b) for b in res.converged)
-        resid = res.trace[-1].residual
-        iters = sum(res.rank_iterations[-1])
-        vcycles = res.total_vcycles
+    p = cfg.p if cfg.variant in ("PFASST", "IPFASST") else 1
+    res = _run(cfg, p)
+    converged = not res.exhausted_steps
     ode, pde = _errors(cfg, res.u, cfg.t_end)
-    rows = [(cfg.variant, cfg.n_t, ode, repr(pde), repr(resid), iters,
-             vcycles, OK if converged else NO_CONVERGENCE)]
+    rows = [(cfg.variant, cfg.n_t, ode, repr(pde),
+             repr(res.trace[-1].residual), sum(res.iterations), res.vcycles,
+             OK if converged else NO_CONVERGENCE)]
     header = ["variant", "n_t", "ode_error", "pde_error", "residual",
               "iterations", "vcycles", "status"]
     return header, rows, converged
@@ -252,7 +225,9 @@ def write_csv(path: str, header: list[str], rows: list[tuple],
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     try:
-        header, rows, converged = DRIVERS[cfg.experiment](cfg)
+        # a failure is reported below as one line, not by NumPy's warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            header, rows, converged = DRIVERS[cfg.experiment](cfg)
     except (MultigridError, SubStepError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -12,8 +12,9 @@ equation stays consistent with the finest level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from .quadrature import (TRANSFER_CACHE_SIZE, NodeSet, QuadratureTable,
                          correction_interpolation, time_restriction)
 from .sdc import NodeStates, residual, sdc_sweep
 from .transfers import full_weighting, inject, interp_space
+
+if TYPE_CHECKING:
+    from .pfasst import PfasstResult
 
 
 @dataclass(frozen=True)
@@ -132,11 +136,7 @@ class TimeStep:
     levels: list[Level]
     states: list[NodeStates]
     y0: list[np.ndarray]
-    tau: list[np.ndarray | None] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.tau:
-            self.tau = [None] * len(self.levels)
+    tau: list[np.ndarray | None]  # FAS corrections; None until set
 
     @classmethod
     def spread(cls, levels: list[Level], u0: np.ndarray) -> "TimeStep":
@@ -150,7 +150,8 @@ class TimeStep:
             states.append(NodeStates.spread(lvl.operator, lvl.table, u))
             y0s.append(u.copy())
             prev = lvl
-        return cls(levels=levels, states=states, y0=y0s)
+        return cls(levels=levels, states=states, y0=y0s,
+                   tau=[None] * len(levels))
 
     def fine_residual(self, dt: float) -> float:
         return residual(self.states[0], self.y0[0], dt)
@@ -174,13 +175,6 @@ def mlsdc_iteration(ts: TimeStep, dt: float, hooks: Hooks | None = None) -> int:
     hooks = hooks or Hooks()
     levels, states = ts.levels, ts.states
     n_lvl = len(levels)
-    if n_lvl == 1:
-        cycles = sdc_sweep(states[0], ts.y0[0], dt, levels[0].operator,
-                           levels[0].mg_cfg, levels[0].policy, tau=ts.tau[0])
-        hooks.post_sweep(0, ts)
-        return cycles
-
-    cycles = 0
     old_restricted: list[NodeStates | None] = [None] * n_lvl
     for l in range(n_lvl - 1):
         restricted = restrict_state(states[l], levels[l], levels[l + 1])
@@ -192,8 +186,8 @@ def mlsdc_iteration(ts: TimeStep, dt: float, hooks: Hooks | None = None) -> int:
 
     hooks.pre_coarse_sweep(ts)  # may replace the coarsest initial value
     lc = n_lvl - 1
-    cycles += sdc_sweep(states[lc], ts.y0[lc], dt, levels[lc].operator,
-                        levels[lc].mg_cfg, levels[lc].policy, tau=ts.tau[lc])
+    cycles = sdc_sweep(states[lc], ts.y0[lc], dt, levels[lc].operator,
+                       levels[lc].mg_cfg, levels[lc].policy, tau=ts.tau[lc])
     hooks.post_sweep(lc, ts)
 
     for l in range(n_lvl - 2, -1, -1):
@@ -206,20 +200,12 @@ def mlsdc_iteration(ts: TimeStep, dt: float, hooks: Hooks | None = None) -> int:
     return cycles
 
 
-def burn_in(ts: TimeStep, dt: float, n_sweeps: int,
-            hooks: Hooks | None = None) -> int:
-    """Coarsest-level sweeps used to seed a freshly spread step."""
-    hooks = hooks or Hooks()
-    levels = ts.levels
-    lc = len(levels) - 1
-    cycles = 0
-    for _ in range(n_sweeps):
-        hooks.pre_coarse_sweep(ts)
-        cycles += sdc_sweep(ts.states[lc], ts.y0[lc], dt, levels[lc].operator,
-                            levels[lc].mg_cfg, levels[lc].policy,
-                            tau=ts.tau[lc])
-        hooks.post_sweep(lc, ts)
-    return cycles
+def burn_in(ts: TimeStep, dt: float) -> int:
+    """One coarsest-level sweep, used to seed a freshly spread step."""
+    lc = len(ts.levels) - 1
+    lvl = ts.levels[lc]
+    return sdc_sweep(ts.states[lc], ts.y0[lc], dt, lvl.operator, lvl.mg_cfg,
+                     lvl.policy, tau=ts.tau[lc])
 
 
 def interpolate_up(ts: TimeStep, spread_copies: list[NodeStates],
@@ -241,50 +227,11 @@ def interpolate_up(ts: TimeStep, spread_copies: list[NodeStates],
         ts.states[0].f[0] = levels[0].operator.apply(exact_y0)
 
 
-def initialize_step(levels: list[Level], u0: np.ndarray, dt: float,
-                    n_burn_in: int = 1) -> tuple[TimeStep, int]:
-    """Spread the initial value, burn in on the coarsest level, interpolate."""
-    ts = TimeStep.spread(levels, u0)
-    cycles = 0
-    if len(levels) > 1:
-        spread_copies = [s.copy() for s in ts.states]
-        cycles = burn_in(ts, dt, n_burn_in)
-        interpolate_up(ts, spread_copies, exact_y0=u0)
-    return ts, cycles
-
-
-@dataclass
-class MlsdcRunResult:
-    u: np.ndarray
-    iterations: list[int] = field(default_factory=list)
-    residuals: list[list[float]] = field(default_factory=list)
-    vcycles: int = 0
-    exhausted_steps: list[int] = field(default_factory=list)
-
-
 def run_mlsdc(levels: list[Level], u0: np.ndarray, t_end: float, n_steps: int,
-              tol: float, max_iter: int) -> MlsdcRunResult:
-    """Serial MLSDC/IMLSDC time stepping with per-step convergence control."""
-    check_hierarchy(levels)
-    dt = t_end / n_steps
-    u = u0
-    result = MlsdcRunResult(u=u0)
-    for step in range(n_steps):
-        ts, cycles = initialize_step(levels, u, dt)
-        result.vcycles += cycles
-        history = []
-        iters = 0
-        for _ in range(max_iter):
-            result.vcycles += mlsdc_iteration(ts, dt)
-            iters += 1
-            res = residual(ts.states[0], ts.y0[0], dt)
-            history.append(res)
-            if res <= tol:
-                break
-        else:
-            result.exhausted_steps.append(step)
-        result.iterations.append(iters)
-        result.residuals.append(history)
-        u = ts.states[0].y[-1].copy()
-    result.u = u
-    return result
+              tol: float, max_iter: int) -> PfasstResult:
+    """Serial MLSDC/IMLSDC time stepping with per-step convergence control:
+    PFASST on one rank, one block per step."""
+    from .pfasst import pfasst_run  # pfasst imports this module
+
+    return pfasst_run(levels, u0, t_end, p=1, blocks=n_steps, tol=tol,
+                      max_iter=max_iter)

@@ -1,5 +1,8 @@
 """Pipelined MLSDC across a block of time steps (PFASST / IPFASST).
 
+This is pintlab's one time-stepping engine: serial MLSDC is PFASST on one
+rank with one block per step, and SDC is MLSDC on one level.
+
 Each time step of a block is owned by one rank.  A rank's iteration
 receives the freshest initial values from its predecessor (blocking on the
 coarsest level), runs one MLSDC pass, and forwards its final-node values
@@ -10,6 +13,7 @@ and produces bitwise-identical iterates.
 
 from __future__ import annotations
 
+import contextvars
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -17,8 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .hierarchy import (Hooks, Level, TimeStep, burn_in, check_hierarchy,
-                        coarse_correction, interpolate_up, mlsdc_iteration)
-from .sdc import residual
+                        interpolate_up, mlsdc_iteration)
 
 
 @dataclass
@@ -33,6 +36,8 @@ class TraceRow:
 
 @dataclass
 class PfasstResult:
+    """Result of every variant; per-step lists run over blocks, then ranks."""
+
     u: np.ndarray
     rank_iterations: list[list[int]] = field(default_factory=list)  # per block
     rank_vcycles: list[list[int]] = field(default_factory=list)
@@ -44,6 +49,21 @@ class PfasstResult:
     @property
     def total_vcycles(self) -> int:
         return sum(sum(b) for b in self.rank_vcycles)
+
+    @property
+    def vcycles(self) -> int:
+        return self.total_vcycles
+
+    @property
+    def iterations(self) -> list[int]:
+        """Iterations of each time step."""
+        return [k for block in self.rank_iterations for k in block]
+
+    @property
+    def exhausted_steps(self) -> list[int]:
+        """Indices of the time steps that did not reach the tolerance."""
+        flags = [ok for block in self.converged for ok in block]
+        return [step for step, ok in enumerate(flags) if not ok]
 
 
 class _SerialExchange:
@@ -158,17 +178,16 @@ class _BlockEngine:
         self.final_values: list[np.ndarray] = []
         self._lock = threading.Lock()
 
-    def send(self, rank: int, level: int, tag, payload) -> None:
+    def send(self, rank: int, level: int, tag, payload,
+             converged: bool = False) -> None:
+        """Forward a copy of a final-node value; the fine-level message
+        also carries the convergence flag."""
+        if rank + 1 == self.p:
+            return  # the last rank has no successor
         snapshot = payload.copy()
         self.frozen_payload[rank][level] = snapshot
-        if rank + 1 < self.p:
-            self.exchange.send(rank, level, tag, snapshot)
-
-    def send_fine(self, rank: int, tag, payload, converged: bool) -> None:
-        snapshot = payload.copy()
-        self.frozen_payload[rank][0] = snapshot
-        if rank + 1 < self.p:
-            self.exchange.send(rank, 0, tag, (snapshot, converged))
+        msg = (snapshot, converged) if level == 0 else snapshot
+        self.exchange.send(rank, level, tag, msg)
 
     def resend(self, rank: int, k: int) -> None:
         """A frozen rank replays its last values under the current tag."""
@@ -183,17 +202,21 @@ class _BlockEngine:
     def predictor_phase(self, rank: int, phase: int) -> None:
         ts = self.steps[rank]
         coarsest = len(self.levels) - 1
+        if coarsest == 0:
+            return  # one level (SDC): nothing coarser to burn in on
         if rank > 0:
             tag = ("pred", min(phase, rank - 1))
             payload = self.exchange.recv(rank - 1, coarsest, tag)
             ts.y0[coarsest] = payload
-        self.vcycles[rank] += burn_in(ts, self.dt, 1)
+        self.vcycles[rank] += burn_in(ts, self.dt)
         if rank + 1 < self.p:
             self.exchange.send(rank, coarsest, ("pred", phase),
                                ts.states[coarsest].y[-1].copy())
 
     def predictor_finalize(self, rank: int) -> None:
         ts = self.steps[rank]
+        if len(self.levels) == 1:
+            return  # nothing was burnt in
         exact = ts.y0[0] if rank == 0 else None
         interpolate_up(ts, self.spread_copies[rank], exact_y0=exact)
 
@@ -216,7 +239,7 @@ class _BlockEngine:
         cycles = mlsdc_iteration(ts, self.dt, hooks=_RankHooks(self, rank, k))
         res = ts.fine_residual(self.dt)
         converged = res <= self.tol and pred_converged
-        self.send_fine(rank, ("it", k), ts.states[0].y[-1], converged)
+        self.send(rank, 0, ("it", k), ts.states[0].y[-1], converged)
         with self._lock:
             self.vcycles[rank] += cycles
             self.iterations[rank] = k
@@ -278,7 +301,10 @@ def _run_block_threaded(engine: _BlockEngine, block: int) -> None:
             failures.append(exc)
             exchange.abort()
 
-    threads = [threading.Thread(target=worker, args=(r,)) for r in range(p)]
+    # each rank runs in a copy of the caller's context, so that NumPy's
+    # error state (np.errstate) holds in the rank threads too
+    threads = [threading.Thread(target=contextvars.copy_context().run,
+                                args=(worker, r)) for r in range(p)]
     for t in threads:
         t.start()
     for t in threads:
@@ -291,12 +317,19 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
                blocks: int = 1, tol: float = 1e-9, max_iter: int = 20,
                executor: str = "serial",
                record_final_values: bool = False) -> PfasstResult:
-    """Run PFASST/IPFASST over `blocks` consecutive windows of `p` steps."""
+    """Run PFASST/IPFASST over `blocks` consecutive windows of `p` steps.
+
+    With p=1 this is serial MLSDC (one block per step), and with one level
+    also serial SDC.
+    """
     check_hierarchy(levels)
     if executor not in ("serial", "threaded"):
         raise ValueError(f"unknown executor {executor!r}")
     if p < 1 or blocks < 1:
         raise ValueError("need at least one rank and one block")
+    if len(levels) == 1 and p > 1:
+        # on one level a rank never receives its predecessor's values
+        raise ValueError("pipelining over ranks needs at least two levels")
     dt = t_end / (p * blocks)
     result = PfasstResult(u=u0)
     u = u0

@@ -9,7 +9,7 @@ policy decision of the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -17,6 +17,9 @@ from . import multigrid
 from .heat import DiagonalOperator, HeatOperator
 from .multigrid import MgConfig, MultigridError, SolvePolicy
 from .quadrature import QuadratureTable
+
+if TYPE_CHECKING:
+    from .pfasst import PfasstResult
 
 COLLOCATION_DOF_LIMIT = 50_000
 
@@ -124,43 +127,20 @@ def residual(states: NodeStates, y0: np.ndarray, dt: float,
     return float(np.max(np.abs(r)))
 
 
-@dataclass
-class RunResult:
-    u: np.ndarray
-    iterations: list[int] = field(default_factory=list)
-    residuals: list[list[float]] = field(default_factory=list)
-    vcycles: int = 0
-    exhausted_steps: list[int] = field(default_factory=list)
-
-
 def run_sdc(op, table: QuadratureTable, u0: np.ndarray, t_end: float,
             n_steps: int, tol: float, max_iter: int, mg_cfg: MgConfig,
-            policy: SolvePolicy) -> RunResult:
-    """Serial SDC (or ISDC, depending on the policy) over n_steps steps.
+            policy: SolvePolicy) -> PfasstResult:
+    """Serial SDC (or ISDC, depending on the policy) over n_steps steps:
+    MLSDC on one level, run as PFASST on one rank.
 
     Each step sweeps until the residual drops below tol or max_iter is
     reached; exhaustion is recorded and the run continues.
     """
+    # hierarchy and pfasst import this module
+    from .hierarchy import Level
+    from .pfasst import pfasst_run
+
     if n_steps < 1:
         raise ValueError("need at least one time step")
-    dt = t_end / n_steps
-    u = u0
-    result = RunResult(u=u0)
-    for step in range(n_steps):
-        states = NodeStates.spread(op, table, u)
-        history = []
-        sweeps = 0
-        for _ in range(max_iter):
-            result.vcycles += sdc_sweep(states, u, dt, op, mg_cfg, policy)
-            sweeps += 1
-            res = residual(states, u, dt)
-            history.append(res)
-            if res <= tol:
-                break
-        else:
-            result.exhausted_steps.append(step)
-        result.iterations.append(sweeps)
-        result.residuals.append(history)
-        u = states.y[-1].copy()
-    result.u = u
-    return result
+    return pfasst_run([Level(op, table, mg_cfg, policy)], u0, t_end, p=1,
+                      blocks=n_steps, tol=tol, max_iter=max_iter)

@@ -5,10 +5,11 @@ import csv
 import numpy as np
 import pytest
 
-from pintlab.cli import main
+from pintlab.cli import PRESETS, build_levels, main
 from pintlab.config import (ConfigError, ExperimentConfig, parse_config,
                             read_key_values, resolved_lines, validate)
 from pintlab.heat import Grid, HeatOperator, initial_condition
+from pintlab.pfasst import pfasst_run
 
 
 def read_output(path):
@@ -218,6 +219,26 @@ class TestMainExitCodes:
         assert len(err) == 1
         assert err[0].startswith("numerical failure: sub-step 1:")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("variant", [
+        ["--set", "variant=ISDC"],
+        ["--threads", "2", "--set", "variant=IPFASST", "--set", "levels=2",
+         "--set", "nodes=3,2", "--set", "orders=2,2", "--set", "p=2"]],
+        ids=["ISDC", "IPFASST-threaded"])
+    def test_numerical_failure_writes_one_line(self, tmp_path, capsys,
+                                               variant):
+        # nu=1e308 overflows the operator itself; NumPy's warnings must
+        # not precede the failure line, also from the rank threads
+        out = tmp_path / "res.csv"
+        code = main(["single-run", "--out", str(out)] + variant +
+                    ["--set", "policy=tolerance:1e-10", "--set", "n_x=16",
+                     "--set", "n_t=2", "--set", "nu=1e308"])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure:")
+
 
 class TestCsvOutput:
     def test_header_rows_and_footer(self, tmp_path):
@@ -308,3 +329,24 @@ class TestVariantsThroughSingleRun:
         _, rows, footer = read_output(out)
         assert rows[0][-1] == "ok"
         assert footer["executor"] == "threaded"
+
+    def test_ipfasst_iterations_count_every_block(self, tmp_path):
+        # the iterations column sums every rank of every block, as the
+        # vcycles column beside it does
+        settings = {"variant": "IPFASST", "levels": "2", "nodes": "3,2",
+                    "orders": "2,2", "policy": "fixed:2", "n_x": "32",
+                    "n_t": "4", "p": "2"}
+        out = tmp_path / "res.csv"
+        args = [a for k, v in settings.items() for a in ("--set", f"{k}={v}")]
+        assert main(["single-run", "--out", str(out)] + args) == 0
+        _, rows, _ = read_output(out)
+        cfg = parse_config(None, settings, experiment="single-run",
+                           **PRESETS["single-run"])
+        levels = build_levels(cfg)
+        res = pfasst_run(levels, initial_condition(levels[0].grid, cfg.k),
+                         cfg.t_end, 2, blocks=2, tol=cfg.tol,
+                         max_iter=cfg.max_iter)
+        every_block = sum(sum(block) for block in res.rank_iterations)
+        assert every_block > sum(res.rank_iterations[-1])
+        assert int(rows[0][5]) == every_block
+        assert int(rows[0][6]) == res.total_vcycles

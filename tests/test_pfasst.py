@@ -3,14 +3,16 @@
 import sys
 import threading
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pintlab.cli import PRESETS, build_levels
 from pintlab.config import parse_config
-from pintlab.heat import Grid, HeatOperator, initial_condition
-from pintlab.hierarchy import Level, run_mlsdc
+from pintlab.heat import Grid, HeatOperator, initial_condition, scalar_operator
+from pintlab.hierarchy import (Level, TimeStep, interpolate_up,
+                               mlsdc_iteration, run_mlsdc)
 from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
 from pintlab.pfasst import (
     PfasstResult,
@@ -18,7 +20,7 @@ from pintlab.pfasst import (
     write_trace_csv,
 )
 from pintlab.quadrature import uniform_table
-from pintlab.sdc import SubStepError
+from pintlab.sdc import SubStepError, residual, run_sdc, sdc_sweep
 
 
 def make_levels(n=32, policy=None, dim=1):
@@ -71,6 +73,115 @@ class TestEquivalences:
         serial = run_mlsdc(levels, u0, 0.5, 4, 1e-11, 20)
         assert np.max(np.abs(two_blocks.u - serial.u)) < 1e-9
         assert len(two_blocks.rank_iterations) == 2
+
+
+def reference_mlsdc(levels, u0, t_end, n_steps, tol, max_iter):
+    """The serial MLSDC loop that the engine replaced, kept as a reference.
+
+    Each step spreads its initial value; with more than one level it burns
+    in with one coarsest-level sweep and interpolates that up, keeping the
+    exact fine initial value.  It then iterates until the fine residual
+    reaches tol or max_iter iterations are spent.
+    """
+    dt = t_end / n_steps
+    u = u0
+    out = SimpleNamespace(iterations=[], residuals=[], vcycles=0,
+                          exhausted_steps=[])
+    for step in range(n_steps):
+        ts = TimeStep.spread(levels, u)
+        if len(levels) > 1:
+            spread_copies = [s.copy() for s in ts.states]
+            lc = len(levels) - 1
+            out.vcycles += sdc_sweep(ts.states[lc], ts.y0[lc], dt,
+                                     levels[lc].operator, levels[lc].mg_cfg,
+                                     levels[lc].policy)
+            interpolate_up(ts, spread_copies, exact_y0=u)
+        history = []
+        for _ in range(max_iter):
+            out.vcycles += mlsdc_iteration(ts, dt)
+            history.append(residual(ts.states[0], ts.y0[0], dt))
+            if history[-1] <= tol:
+                break
+        else:
+            out.exhausted_steps.append(step)
+        out.iterations.append(len(history))
+        out.residuals.append(history)
+        u = ts.states[0].y[-1].copy()
+    out.u = u
+    return out
+
+
+def one_level(op, m, policy=None):
+    return [Level(op, uniform_table(m), MgConfig(smoother="gauss-seidel"),
+                  policy or Direct())]
+
+
+def weak_scaling_levels():
+    cfg = parse_config(None, {"n_x": "32", "n_t": "32", "p": "32"},
+                       experiment="weak-scaling", **PRESETS["weak-scaling"])
+    return build_levels(cfg)
+
+
+# id -> (levels, initial value, t_end, n_steps, tol, max_iter)
+ENGINE_CASES = {
+    "scalar": lambda: (one_level(scalar_operator(-50.0), 2),
+                       np.array([1.0]), 1.0, 2, 1e-10, 30),
+    "backward-euler": lambda: (one_level(scalar_operator(-1.0), 1),
+                               np.array([1.0]), 1.0, 1, 1e-14, 10),
+    "3d-gauss-seidel-tol": lambda: (
+        one_level(HeatOperator(Grid(3, 8), 1.0, 2), 2, ToTolerance(1e-10)),
+        initial_condition(Grid(3, 8), 1), 0.01, 2, 1e-9, 20),
+    "two-level": lambda: (make_levels(), initial_condition(Grid(1, 32), 1),
+                          0.25, 3, 1e-10, 12),
+    "three-level": lambda: (weak_scaling_levels(),
+                            initial_condition(Grid(1, 32), 1),
+                            1.0, 4, 1e-10, 20),
+    "one-level-exhausted": lambda: (one_level(scalar_operator(-50.0), 2),
+                                    np.array([1.0]), 1.0, 2, 1e-300, 3),
+    "two-level-exhausted": lambda: (make_levels(policy=ToTolerance(1e-12)),
+                                    initial_condition(Grid(1, 32), 1),
+                                    0.25, 2, 1e-300, 4),
+}
+
+
+class TestOneEngine:
+    """run_sdc, run_mlsdc and pfasst_run on one rank step exactly like
+    the serial MLSDC loop."""
+
+    @staticmethod
+    def assert_matches(res, ref):
+        np.testing.assert_array_equal(res.u, ref.u)
+        assert res.iterations == ref.iterations
+        assert res.vcycles == ref.vcycles
+        assert res.exhausted_steps == ref.exhausted_steps
+        histories = [[r.residual for r in res.trace if r.block == step]
+                     for step in range(len(ref.iterations))]
+        assert histories == ref.residuals
+
+    @pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+    def test_drivers_match_serial_reference(self, case):
+        levels, u0, t_end, n_steps, tol, max_iter = ENGINE_CASES[case]()
+        ref = reference_mlsdc(levels, u0, t_end, n_steps, tol, max_iter)
+        if len(levels) == 1:
+            lvl = levels[0]
+            driver = run_sdc(lvl.operator, lvl.table, u0, t_end, n_steps,
+                             tol, max_iter, lvl.mg_cfg, lvl.policy)
+        else:
+            driver = run_mlsdc(levels, u0, t_end, n_steps, tol, max_iter)
+        engine = pfasst_run(levels, u0, t_end, p=1, blocks=n_steps, tol=tol,
+                            max_iter=max_iter)
+        self.assert_matches(driver, ref)
+        self.assert_matches(engine, ref)
+        assert isinstance(driver, PfasstResult)
+
+    def test_cases_cover_one_sweep_and_exhaustion(self):
+        def reference(case):
+            return reference_mlsdc(*ENGINE_CASES[case]())
+
+        assert reference("backward-euler").iterations == [1]
+        assert reference("one-level-exhausted").exhausted_steps == [0, 1]
+        assert reference("two-level-exhausted").exhausted_steps == [0, 1]
+        assert reference("three-level").vcycles > 0
 
 
 class TestConvergenceBookkeeping:
@@ -147,6 +258,15 @@ class TestValidation:
             pfasst_run(levels, u0, 0.25, p=0)
         with pytest.raises(ValueError):
             pfasst_run(levels, u0, 0.25, p=2, blocks=0)
+
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    def test_rejects_several_ranks_on_one_level(self, executor):
+        # on one level a rank would never receive its predecessor's value
+        # and would return a wrong answer
+        levels = make_levels()[:1]
+        u0 = initial_condition(levels[0].grid, 1)
+        with pytest.raises(ValueError, match="two levels"):
+            pfasst_run(levels, u0, 0.25, p=2, tol=1e-9, executor=executor)
 
 
 class TestCachedSetup:
