@@ -61,15 +61,18 @@ class ExperimentConfig:
     def policy_kind(self) -> tuple[str, float]:
         """Split the policy string into (kind, parameter)."""
         kind, _, arg = self.policy.partition(":")
-        if kind == "fixed":
-            return "fixed", float(int(arg or 2))
-        if kind == "tolerance":
-            return "tolerance", float(arg or 1e-12)
+        try:
+            if kind == "fixed" and int(arg or 2) >= 1:
+                return "fixed", float(int(arg or 2))
+            if kind == "tolerance" and float(arg or 1e-12) > 0:
+                return "tolerance", float(arg or 1e-12)
+        except ValueError:
+            pass
         if kind == "direct" and not arg:
             return "direct", 0.0
         raise ConfigError(
-            f"policy must be 'fixed:V', 'tolerance:TOL' or 'direct', "
-            f"got {self.policy!r}")
+            f"policy must be 'fixed:V' (V >= 1), 'tolerance:TOL' (TOL > 0) "
+            f"or 'direct', got {self.policy!r}")
 
 
 _CONVERTERS = {
@@ -131,11 +134,19 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if any(m < 2 for m in cfg.nodes):
         problems.append(f"every level needs >= 2 stored nodes, "
                         f"got nodes={cfg.nodes}")
+    elif any((f - 1) % (c - 1) for f, c in zip(cfg.nodes, cfg.nodes[1:])):
+        problems.append(f"coarse nodes must nest in finer ones: {cfg.nodes}")
     if any(o not in (2, 4) for o in cfg.orders):
         problems.append(f"stencil orders must be 2 or 4, got {cfg.orders}")
-    if cfg.n_t < 1 or cfg.n_x < 2 or cfg.p < 1:
-        problems.append(f"n_t={cfg.n_t}, n_x={cfg.n_x}, p={cfg.p} must be "
-                        "positive (n_x >= 2)")
+    elif any(c > f for f, c in zip(cfg.orders, cfg.orders[1:])):
+        problems.append(f"orders may not rise on coarser levels: {cfg.orders}")
+    if cfg.n_t < 1 or cfg.p < 1 or cfg.max_iter < 1:
+        problems.append(f"n_t={cfg.n_t}, p={cfg.p} and "
+                        f"max_iter={cfg.max_iter} must be positive")
+    if cfg.n_x < 2 or cfg.n_x & (cfg.n_x - 1):
+        problems.append(f"n_x must be a power of two >= 2, got {cfg.n_x}")
+    if cfg.pre_sweeps < 0 or cfg.post_sweeps < 0:
+        problems.append("pre_sweeps and post_sweeps must be >= 0")
     if cfg.t_end <= 0 or cfg.nu <= 0 or cfg.length <= 0:
         problems.append("t_end, nu, and length must be positive")
 

@@ -7,15 +7,15 @@ fastest.
 
 The heat operator is the Kronecker sum of one dense 1D matrix
 D = nu * laplacian_1d, cached read-only per grid: its apply multiplies D
-along each axis.  That costs n - 1 multiply-adds per point and axis,
-against 3 or 5 for a padded stencil, but runs as one BLAS product per
-axis with no temporary per stencil point.  On one core of a 2-core Xeon
-VM with OpenBLAS it beats the stencil at every size the presets, tests
-and benchmark apply it on (1D up to n = 128, 2D and 3D up to n = 64;
-3D n = 32, order 4: 250 against 1,650 microseconds).  It loses on 1D
-grids from about n = 512 (76 against 38 microseconds; 420 against 40 at
-n = 1024), which nothing here runs.  The multigrid module builds its
-sparse matrices from the same 1D matrix.
+along each axis with `along_axis`, as the grid transfers apply their 1D
+matrices.  That costs n - 1 multiply-adds per point and axis, against 3
+or 5 for a padded stencil, but runs as one BLAS product per axis.  On
+one core of a 2-core Xeon VM with OpenBLAS it beats the stencil at every
+size the presets, tests and benchmark apply it on (1D up to n = 128, 2D
+and 3D up to n = 64; 3D n = 32, order 4: 250 against 1,650
+microseconds).  It loses on 1D grids from about n = 512 (76 against 38
+microseconds; 420 against 40 at n = 1024), which nothing here runs.  The
+multigrid module builds its sparse matrices from the same 1D matrix.
 """
 
 from __future__ import annotations
@@ -128,6 +128,15 @@ def laplacian_1d(n: int, length: float, order: int) -> np.ndarray:
     return mat
 
 
+def along_axis(mat: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
+    """The 1D matrix `mat` applied along one axis of `u`, moving no axis."""
+    if axis == u.ndim - 1:
+        return u @ mat.T
+    if axis == u.ndim - 2:
+        return np.matmul(mat, u)  # broadcast over a leading z axis
+    return (mat @ u.reshape(u.shape[0], -1)).reshape((-1,) + u.shape[1:])
+
+
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def _axis_factor(n: int, length: float, nu: float, order: int) -> np.ndarray:
     """Read-only nu * laplacian_1d, the factor applied along every axis."""
@@ -157,16 +166,13 @@ class HeatOperator:
         return _axis_factor(g.n, g.length, self.nu, self.order)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """The Kronecker sum of D = nu * laplacian_1d, one product per axis."""
+        """The Kronecker sum of D = nu * laplacian_1d, summed x, y, z."""
         if u.shape != self.grid.shape:
             raise ValueError(f"expected shape {self.grid.shape}, got {u.shape}")
         d = self._factor()
-        if self.grid.dim == 1:
-            return d @ u
-        out = u @ d.T                   # along x, the last axis
-        out += np.matmul(d, u)          # along y
-        if self.grid.dim == 3:          # along z
-            out += (d @ u.reshape(d.shape[0], -1)).reshape(u.shape)
+        out = along_axis(d, u, u.ndim - 1)
+        for axis in range(u.ndim - 2, -1, -1):
+            out += along_axis(d, u, axis)
         return out
 
     def diagonal(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from .multigrid import MgConfig, SolvePolicy
 from .quadrature import (TRANSFER_CACHE_SIZE, NodeSet, QuadratureTable,
                          correction_interpolation, time_restriction)
 from .sdc import NodeStates, residual, sdc_sweep
-from .transfers import full_weighting, inject, interp_space
+from .transfers import full_weighting, inject, interp_cubic, interp_linear
 
 if TYPE_CHECKING:
     from .pfasst import PfasstResult
@@ -79,7 +79,9 @@ def restrict_space(u: np.ndarray, fine: Level, coarse: Level) -> np.ndarray:
 def _space_interp(u: np.ndarray, fine: Level, coarse: Level) -> np.ndarray:
     if coarse.grid.n == fine.grid.n:
         return u
-    return interp_space(u, fine.space_interp_order)
+    if fine.space_interp_order == 2:
+        return interp_linear(u)
+    return interp_cubic(u)
 
 
 @lru_cache(maxsize=TRANSFER_CACHE_SIZE)

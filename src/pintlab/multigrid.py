@@ -4,22 +4,22 @@ Coarse-level operators are rediscretizations of the fine operator (same
 diffusivity, same shift, same stencil order).  The coarsest level is solved
 directly.  Smoother sweep order is fixed, so solves are bit-reproducible.
 
-Setup and solve are split.  What is fixed per grid and shift -- the
-shifted operator with its chain of coarse-grid operators, the sparse
-matrices, the Gauss-Seidel factor and the direct factorizations -- is
-built lazily on first use and kept in bounded module-level caches, so a
-V-cycle only applies operators and runs prefactored solves.
+Setup and solve are split.  Each grid's sparse matrix is cached, and the
+cached `ShiftedOperator` of each grid and shift owns what is fixed per
+shift: its coarse-grid operator and its SuperLU factors, one direct (for
+`Direct` and the coarsest V-cycle grid) and one Gauss-Seidel triangle.
+All are built on first use, so a V-cycle only applies operators and runs
+prefactored solves.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
@@ -33,15 +33,12 @@ class MgConfig:
     omega: float = 2.0 / 3.0
     pre_sweeps: int = 2
     post_sweeps: int = 2
-    coarsest_n: int = 4
 
     def __post_init__(self):
         if self.smoother not in ("jacobi", "gauss-seidel", "jor-rb"):
             raise ValueError(f"unknown smoother {self.smoother!r}")
         if self.pre_sweeps < 0 or self.post_sweeps < 0:
             raise ValueError("sweep counts must be non-negative")
-        if self.coarsest_n < 2:
-            raise ValueError("coarsest grid needs at least one interior point")
 
 
 @dataclass(frozen=True)
@@ -73,11 +70,11 @@ class Direct:
 
 SolvePolicy = Union[FixedCycles, ToTolerance, Direct]
 
-# The factorization-based triangular solves (LAPACK getrs, SuperLU) are not
-# safe to call concurrently in this stack; serialize them.  Each runs on a
-# cached factor in time proportional to its nonzeros (a Gauss-Seidel sweep's
-# forward substitution, a tiny coarsest-level system, or a direct solve), so
-# contention under the threaded time-parallel executor stays small.
+# SuperLU's triangular solves are not safe to call concurrently in this
+# stack; serialize them.  Each runs on a cached factor in time proportional
+# to its nonzeros (a Gauss-Seidel sweep's forward substitution, a tiny
+# coarsest-level system, or a direct solve), so contention under the
+# threaded time-parallel executor stays small.
 _FACTOR_SOLVE_LOCK = threading.Lock()
 
 # Bounds of the module-level caches.  A solve uses one entry per grid of
@@ -87,6 +84,8 @@ _FACTOR_SOLVE_LOCK = threading.Lock()
 # cannot grow memory without limit.
 GRID_CACHE_SIZE = 64
 SHIFT_CACHE_SIZE = 256
+
+COARSEST_N = 4  # V-cycles solve grids this coarse directly
 
 
 class MultigridError(RuntimeError):
@@ -100,63 +99,19 @@ class MultigridError(RuntimeError):
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
-def _operator_matrix(dim: int, n: int, length: float, nu: float,
-                     order: int) -> scipy.sparse.csr_matrix:
+def operator_matrix(op: HeatOperator) -> scipy.sparse.csr_matrix:
     """Sparse matrix of the heat operator in C-order (x fastest)."""
-    d1 = scipy.sparse.csr_matrix(laplacian_1d(n, length, order))
-    npts = n - 1
-    eye = scipy.sparse.identity(npts, format="csr")
+    g = op.grid
+    d1 = scipy.sparse.csr_matrix(laplacian_1d(g.n, g.length, op.order))
+    eye = scipy.sparse.identity(g.n - 1, format="csr")
     total = None
-    for axis in range(dim):
-        factors = [d1 if ax == axis else eye for ax in range(dim)]
+    for axis in range(g.dim):
+        factors = [d1 if ax == axis else eye for ax in range(g.dim)]
         term = factors[0]
         for f in factors[1:]:
             term = scipy.sparse.kron(term, f, format="csr")
         total = term if total is None else total + term
-    return (nu * total).tocsr()
-
-
-def operator_matrix(op: HeatOperator) -> scipy.sparse.csr_matrix:
-    g = op.grid
-    return _operator_matrix(g.dim, g.n, g.length, op.nu, op.order)
-
-
-@lru_cache(maxsize=SHIFT_CACHE_SIZE)
-def _shifted_matrix(dim, n, length, nu, order, sigma):
-    a = _operator_matrix(dim, n, length, nu, order)
-    return (scipy.sparse.identity(a.shape[0], format="csr") - sigma * a).tocsr()
-
-
-@lru_cache(maxsize=SHIFT_CACHE_SIZE)
-def _shifted_lu(dim, n, length, nu, order, sigma):
-    return scipy.sparse.linalg.splu(
-        _shifted_matrix(dim, n, length, nu, order, sigma).tocsc())
-
-
-@lru_cache(maxsize=SHIFT_CACHE_SIZE)
-def _gauss_seidel_factor(dim, n, length, nu, order, sigma):
-    """SuperLU factor of the lower triangle of I - sigma*A.
-
-    In natural order and without pivoting the factor of a lower-triangular
-    matrix is its unit lower triangle times its diagonal, so a solve is one
-    forward substitution over the triangle's nonzeros.
-    """
-    lower = scipy.sparse.tril(
-        _shifted_matrix(dim, n, length, nu, order, sigma), format="csc")
-    lu = scipy.sparse.linalg.splu(lower, permc_spec="NATURAL",
-                                  diag_pivot_thresh=0.0)
-    identity = np.arange(lower.shape[0])
-    if not (np.array_equal(lu.perm_r, identity)
-            and np.array_equal(lu.perm_c, identity)):
-        raise RuntimeError("SuperLU reordered the Gauss-Seidel triangle; "
-                           "its solve would not be a forward substitution")
-    return lu
-
-
-@lru_cache(maxsize=SHIFT_CACHE_SIZE)
-def _coarsest_lu(dim, n, length, nu, order, sigma):
-    dense = _shifted_matrix(dim, n, length, nu, order, sigma).toarray()
-    return scipy.linalg.lu_factor(dense)
+    return (op.nu * total).tocsr()
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
@@ -174,7 +129,7 @@ class ShiftedOperator:
     """I - sigma * A for a heat (or diagonal) right-hand-side operator.
 
     `shifted_operator` keeps one per (operator, sigma); each holds its
-    coarse-grid operator once a V-cycle has asked for it.
+    coarse-grid operator and its factors once a solve has asked for them.
     """
 
     def __init__(self, base, sigma: float):
@@ -205,15 +160,38 @@ class ShiftedOperator:
                 self.sigma)
         return self._coarse
 
-    def _key(self):
-        op = self.base
-        g = op.grid
-        return (g.dim, g.n, g.length, op.nu, op.order, self.sigma)
+    def _matrix(self) -> scipy.sparse.csr_matrix:
+        a = operator_matrix(self.base)
+        return scipy.sparse.identity(a.shape[0], format="csr") - self.sigma * a
+
+    @cached_property
+    def lu(self):
+        """SuperLU factor of I - sigma*A: direct and coarsest-grid solves."""
+        return scipy.sparse.linalg.splu(self._matrix().tocsc())
+
+    @cached_property
+    def gauss_seidel_factor(self):
+        """SuperLU factor of the lower triangle of I - sigma*A.
+
+        In natural order and without pivoting the factor of a
+        lower-triangular matrix is its unit lower triangle times its
+        diagonal, so a solve is one forward substitution over the
+        triangle's nonzeros.
+        """
+        lower = scipy.sparse.tril(self._matrix(), format="csc")
+        lu = scipy.sparse.linalg.splu(lower, permc_spec="NATURAL",
+                                      diag_pivot_thresh=0.0)
+        identity = np.arange(lower.shape[0])
+        if not (np.array_equal(lu.perm_r, identity)
+                and np.array_equal(lu.perm_c, identity)):
+            raise RuntimeError("SuperLU reordered the Gauss-Seidel triangle; "
+                               "its solve would not be a forward substitution")
+        return lu
 
     def solve_direct(self, b: np.ndarray) -> np.ndarray:
         if isinstance(self.base, DiagonalOperator):
             return b / self._diag
-        lu = _shifted_lu(*self._key())
+        lu = self.lu
         with _FACTOR_SOLVE_LOCK:
             return lu.solve(b.ravel()).reshape(b.shape)
 
@@ -233,7 +211,7 @@ def smooth(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
         for _ in range(count):
             u = u + cfg.omega * (b - op.apply(u)) / diag
     elif cfg.smoother == "gauss-seidel":
-        lower = _gauss_seidel_factor(*op._key())
+        lower = op.gauss_seidel_factor
         for _ in range(count):
             r = b - op.apply(u)
             with _FACTOR_SOLVE_LOCK:
@@ -254,10 +232,8 @@ def smooth(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
 def v_cycle(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
             cfg: MgConfig) -> np.ndarray:
     grid = op.grid
-    if grid.n <= cfg.coarsest_n:
-        lu = _coarsest_lu(*op._key())
-        with _FACTOR_SOLVE_LOCK:
-            return scipy.linalg.lu_solve(lu, b.ravel()).reshape(b.shape)
+    if grid.n <= COARSEST_N:
+        return op.solve_direct(b)
     u = smooth(op, u, b, cfg, cfg.pre_sweeps)
     r = b - op.apply(u)
     coarse_op = op.coarsen()

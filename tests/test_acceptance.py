@@ -22,6 +22,10 @@ from pintlab.pfasst import pfasst_run
 from pintlab.quadrature import uniform_table
 from pintlab.sdc import NodeStates, collocation_solve, run_sdc, sdc_sweep
 
+# Every test here is one of the nine criteria; `pytest -m "not slow"`
+# leaves them out for a quick loop.
+pytestmark = pytest.mark.slow
+
 
 def verdict(n: int, ok: bool, detail: str) -> None:
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} — {detail}")

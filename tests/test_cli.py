@@ -177,6 +177,27 @@ class TestMainExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        ["n_x=12"],
+        ["max_iter=0"],
+        ["variant=MLSDC", "levels=2", "nodes=3,5", "orders=2,2"],
+        ["variant=MLSDC", "levels=2", "nodes=3,3", "orders=2,4"],
+        ["pre_sweeps=-1"],
+        ["variant=ISDC", "policy=fixed:0"],
+        ["variant=ISDC", "policy=tolerance:0"],
+    ])
+    def test_invalid_value_exits_2_with_one_line(self, overrides, tmp_path,
+                                                 capsys):
+        # each of these used to escape validation and end in a traceback
+        args = ["single-run", "--out", str(tmp_path / "res.csv"),
+                "--set", "n_x=16", "--set", "n_t=4"]
+        for pair in overrides:
+            args += ["--set", pair]
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not (tmp_path / "res.csv").exists()
+
     def test_bad_set_syntax_exits_2(self, capsys):
         code = main(["single-run", "--set", "nx16"])
         assert code == 2

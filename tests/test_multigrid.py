@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,6 +78,69 @@ def old_operator_matrix(dim, n, length, nu, order):
             term = scipy.sparse.kron(term, f, format="csr")
         total = term if total is None else total + term
     return (nu * total).tocsr()
+
+
+# The grid transfers as they were before they became cached 1D matrices:
+# slice formulas (and the cubic matrix) moved onto each axis in turn.
+
+def ref_along_axes(u, op1d):
+    """op1d, acting on axis 0, applied along every axis in turn."""
+    for axis in range(u.ndim):
+        u = np.moveaxis(op1d(np.moveaxis(u, axis, 0)), 0, axis)
+    return u
+
+
+def ref_inject(u):
+    return ref_along_axes(u, lambda v: v[1::2])
+
+
+def ref_full_weighting(u):
+    return ref_along_axes(
+        u, lambda v: 0.25 * (v[0:-2:2] + 2.0 * v[1:-1:2] + v[2::2]))
+
+
+def ref_interp_linear(u):
+    def lin(v):
+        nc = v.shape[0] + 1
+        out = np.zeros((2 * nc - 1,) + v.shape[1:])
+        out[1::2] = v
+        out[2:-1:2] = 0.5 * (v[:-1] + v[1:])
+        out[0] = 0.5 * v[0]
+        out[-1] = 0.5 * v[-1]
+        return out
+    return ref_along_axes(u, lin)
+
+
+def ref_cubic_matrix(nf):
+    """The cubic matrix as built before one builder took the order."""
+    nc = nf // 2
+    mat = np.zeros((nf - 1, nc - 1))
+    for i in range(1, nf):
+        s = i / 2.0
+        if i % 2 == 0:
+            mat[i - 1, i // 2 - 1] = 1.0
+            continue
+        if nc < 3:
+            pts = np.arange(0, nc + 1)
+        else:
+            j0 = min(max(int(np.floor(s)) - 1, 0), nc - 3)
+            pts = np.arange(j0, j0 + 4)
+        for a, ja in enumerate(pts):
+            w = 1.0
+            for b, jb in enumerate(pts):
+                if b != a:
+                    w *= (s - jb) / (ja - jb)
+            if 1 <= ja <= nc - 1:
+                mat[i - 1, ja - 1] += w
+    return mat
+
+
+def ref_interp_cubic(u, absolute=False):
+    def cubic(v):
+        mat = ref_cubic_matrix(2 * (v.shape[0] + 1))
+        mat = np.abs(mat) if absolute else mat
+        return np.tensordot(mat, v, axes=(1, 0))
+    return ref_along_axes(u, cubic)
 
 
 @pytest.mark.parametrize("order", [2, 4])
@@ -162,7 +226,7 @@ class TestSmoothers:
     @pytest.mark.parametrize("dim,n,order", [(1, 32, 2), (2, 16, 4), (3, 8, 4)])
     def test_gauss_seidel_factor_keeps_natural_order(self, dim, n, order):
         op = shifted(dim, n, sigma=0.05, order=order)
-        lu = multigrid._gauss_seidel_factor(*op._key())
+        lu = op.gauss_seidel_factor
         identity = np.arange(op.grid.dof)
         np.testing.assert_array_equal(lu.perm_r, identity)
         np.testing.assert_array_equal(lu.perm_c, identity)
@@ -171,7 +235,7 @@ class TestSmoothers:
         # 3D order 4 has at most 7 nonzeros per row in the lower triangle;
         # banded storage held bandwidth x N = 962 x 29,791 values here
         op = shifted(3, 32, sigma=1e-3, order=4)
-        lu = multigrid._gauss_seidel_factor(*op._key())
+        lu = op.gauss_seidel_factor
         assert lu.L.nnz + lu.U.nnz <= 14 * op.grid.dof
 
     def test_zero_sweeps_is_identity(self):
@@ -229,11 +293,108 @@ class TestVCycle:
         u = v_cycle(op, np.zeros_like(b), b, cfg)
         assert np.linalg.norm(u - exact) <= 0.2 * np.linalg.norm(exact)
 
-    def test_coarsest_grid_solved_directly(self):
-        op = shifted(1, 4, sigma=0.3)
-        b = np.array([1.0, -2.0, 0.5])
-        u = v_cycle(op, np.zeros(3), b, MgConfig())
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_coarsest_grid_solved_directly(self, dim, order):
+        op = shifted(dim, 4, sigma=0.3, order=order)
+        b = np.random.default_rng(13).standard_normal(op.grid.shape)
+        u = v_cycle(op, op.grid.zeros(), b, MgConfig())
         assert np.max(np.abs(b - op.apply(u))) < 1e-12
+
+
+class TestFactorOwnership:
+    """Each shifted operator builds its SuperLU factors once, on first use."""
+
+    @pytest.fixture
+    def splu_calls(self, monkeypatch, cold_caches):
+        calls = []
+        splu = scipy.sparse.linalg.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return splu(*args, **kwargs)
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+        return calls
+
+    @staticmethod
+    def run_solves(op):
+        b = np.ones(op.grid.shape)
+        solve(op, np.zeros_like(b), b, MgConfig(), Direct())
+        solve(op, np.zeros_like(b), b, MgConfig(smoother="gauss-seidel"),
+              FixedCycles(2))
+
+    def test_each_factor_built_once_per_operator(self, splu_calls):
+        op = shifted_operator(HeatOperator(Grid(2, 16)), 0.01)
+        self.run_solves(op)
+        # the direct factor on n=16, Gauss-Seidel on n=16 and n=8, and the
+        # direct factor of the coarsest grid n=4
+        assert len(splu_calls) == 4
+        self.run_solves(op)
+        assert len(splu_calls) == 4
+        assert op.lu is op.lu
+        assert op.gauss_seidel_factor is op.gauss_seidel_factor
+
+    def test_cache_clear_rebuilds_the_factors(self, splu_calls):
+        op = shifted_operator(HeatOperator(Grid(2, 16)), 0.01)
+        self.run_solves(op)
+        shifted_operator.cache_clear()
+        fresh = shifted_operator(HeatOperator(Grid(2, 16)), 0.01)
+        assert fresh is not op
+        self.run_solves(fresh)
+        assert len(splu_calls) == 8
+
+    def test_direct_and_coarsest_grid_share_one_factor(self, splu_calls):
+        op = shifted_operator(HeatOperator(Grid(1, 4)), 0.3)
+        b = np.array([1.0, -2.0, 0.5])
+        direct = solve(op, np.zeros(3), b, MgConfig(), Direct()).u
+        cycled = v_cycle(op, np.zeros(3), b, MgConfig())
+        assert len(splu_calls) == 1
+        np.testing.assert_array_equal(cycled, direct)
+
+
+TRANSFER_SIZES = [(dim, n) for dim in (1, 2, 3)
+                  for n in (4, 8, 16, 32, 64, 128)]
+
+
+def assert_within_ulps(new, ref, scale, ulps):
+    """|new - ref| is at most `ulps` units in the last place of `scale`."""
+    assert np.all(np.abs(new - ref) <= ulps * np.spacing(scale))
+
+
+class TestTransfersMatchSliceFormulas:
+    """The 1D matrices against the slice formulas they replaced.
+
+    Injection and linear interpolation are bitwise equal.  Full weighting
+    and cubic interpolation sum k = 3 and 4 terms per point and axis in
+    the order the BLAS product chooses, so each axis may move a result by
+    up to 2(k - 1) units in the last place of its absolute-weighted scale
+    S (the transfer with |weights| applied to |u|).
+    """
+
+    @pytest.mark.parametrize("dim,n", TRANSFER_SIZES)
+    def test_restrictions(self, dim, n):
+        u = np.random.default_rng(n + dim).standard_normal((n - 1,) * dim)
+        np.testing.assert_array_equal(transfers.inject(u), ref_inject(u))
+        assert_within_ulps(transfers.full_weighting(u), ref_full_weighting(u),
+                           ref_full_weighting(np.abs(u)), 4 * dim)
+
+    @pytest.mark.parametrize("dim,n", TRANSFER_SIZES)
+    def test_interpolations(self, dim, n):
+        u = np.random.default_rng(n + dim).standard_normal((n // 2 - 1,) * dim)
+        np.testing.assert_array_equal(transfers.interp_linear(u),
+                                      ref_interp_linear(u))
+        assert_within_ulps(transfers.interp_cubic(u), ref_interp_cubic(u),
+                           ref_interp_cubic(np.abs(u), absolute=True), 6 * dim)
+
+    @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
+    def test_matrices(self, n):
+        linear = transfers._interp_matrix(n, 2)
+        restrict = transfers._full_weighting_matrix(n)
+        np.testing.assert_array_equal(linear, 2.0 * restrict.T)
+        np.testing.assert_array_equal(transfers._interp_matrix(n, 4),
+                                      ref_cubic_matrix(n))
+        for mat in (linear, restrict, transfers._interp_matrix(n, 4)):
+            assert not mat.flags.writeable
 
 
 class TestTransfersRoundTrip:
