@@ -231,6 +231,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     except (MultigridError, SubStepError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ConfigError as exc:  # a driver's per-case configuration
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     out = cfg.out or f"{cfg.experiment}.csv"
     try:
         write_csv(out, header, rows, cfg)

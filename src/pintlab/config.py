@@ -9,6 +9,7 @@ reported at once, so a typo never silently falls back to a default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -147,8 +148,15 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         problems.append(f"n_x must be a power of two >= 2, got {cfg.n_x}")
     if cfg.pre_sweeps < 0 or cfg.post_sweeps < 0:
         problems.append("pre_sweeps and post_sweeps must be >= 0")
-    if cfg.t_end <= 0 or cfg.nu <= 0 or cfg.length <= 0:
-        problems.append("t_end, nu, and length must be positive")
+    for key in ("t_end", "nu", "length", "omega"):
+        if not 0 < getattr(cfg, key) < math.inf:
+            problems.append(f"{key} must be finite and > 0, "
+                            f"got {getattr(cfg, key)}")
+    if not 0 <= cfg.tol < math.inf:
+        problems.append(f"tol must be finite and >= 0, got {cfg.tol}")
+    if not 1 <= cfg.k <= cfg.n_x - 1:
+        problems.append(f"mode number k={cfg.k} must lie in "
+                        f"[1, n_x - 1 = {cfg.n_x - 1}]")
 
     try:
         kind, _ = cfg.policy_kind()

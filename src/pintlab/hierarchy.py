@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,9 +23,6 @@ from .quadrature import (TRANSFER_CACHE_SIZE, NodeSet, QuadratureTable,
                          correction_interpolation, time_restriction)
 from .sdc import NodeStates, residual, sdc_sweep
 from .transfers import full_weighting, inject, interp_cubic, interp_linear
-
-if TYPE_CHECKING:
-    from .pfasst import PfasstResult
 
 
 @dataclass(frozen=True)
@@ -227,13 +223,3 @@ def interpolate_up(ts: TimeStep, spread_copies: list[NodeStates],
         ts.y0[0] = exact_y0.copy()
         ts.states[0].y[0] = exact_y0
         ts.states[0].f[0] = levels[0].operator.apply(exact_y0)
-
-
-def run_mlsdc(levels: list[Level], u0: np.ndarray, t_end: float, n_steps: int,
-              tol: float, max_iter: int) -> PfasstResult:
-    """Serial MLSDC/IMLSDC time stepping with per-step convergence control:
-    PFASST on one rank, one block per step."""
-    from .pfasst import pfasst_run  # pfasst imports this module
-
-    return pfasst_run(levels, u0, t_end, p=1, blocks=n_steps, tol=tol,
-                      max_iter=max_iter)

@@ -6,9 +6,14 @@ rank with one block per step, and SDC is MLSDC on one level.
 Each time step of a block is owned by one rank.  A rank's iteration
 receives the freshest initial values from its predecessor (blocking on the
 coarsest level), runs one MLSDC pass, and forwards its final-node values
-per level.  The serial executor defines the normative message schedule;
-the threaded executor replays exactly that schedule through FIFO channels
-and produces bitwise-identical iterates.
+per level.  A rank freezes once it and its predecessor have converged;
+it then stops, and its successor keeps the last values it received.
+
+Each rank's part of a block is written once, as the generator
+`_rank_steps`.  The serial executor steps the ranks' generators round
+robin, which fixes the normative message schedule; the threaded executor
+runs each generator in its own thread.  Both exchange messages through
+the same FIFO channels, so they produce bitwise-identical iterates.
 """
 
 from __future__ import annotations
@@ -66,19 +71,6 @@ class PfasstResult:
         return [step for step, ok in enumerate(flags) if not ok]
 
 
-class _SerialExchange:
-    """Message board for the round-robin executor; tags stay readable."""
-
-    def __init__(self):
-        self._board: dict[tuple, object] = {}
-
-    def send(self, sender: int, level: int, tag, payload) -> None:
-        self._board[(sender, level, tag)] = payload
-
-    def recv(self, sender: int, level: int, tag):
-        return self._board[(sender, level, tag)]
-
-
 class _Aborted(Exception):
     """Raised in a rank thread when another rank's thread has failed."""
 
@@ -87,48 +79,47 @@ _ABORT = object()  # tag of the message that wakes a blocked receiver
 
 
 class _Channel:
-    """FIFO single-producer/single-consumer channel with tag memory.
+    """FIFO channel from one rank to its successor on one level.
 
-    Tags arrive in the producer's send order; the consumer may re-read the
-    most recently delivered tag (the predictor schedule needs this).
+    Each message is received once, in send order, under exactly the tag it
+    was sent with; any other tag raises.  A blocking channel (threaded
+    executor) waits for the next message.  A non-blocking one (serial
+    executor) raises at once when none was sent, since no other rank can
+    send it while the receiver runs.
     """
 
-    def __init__(self):
-        self._q: queue.Queue = queue.Queue()
-        self._last = None
+    def __init__(self, blocking: bool):
+        self._q: queue.SimpleQueue = queue.SimpleQueue()
+        self._blocking = blocking
 
     def send(self, tag, payload) -> None:
         self._q.put((tag, payload))
 
     def recv(self, tag):
-        if self._last is not None and self._last[0] == tag:
-            return self._last[1]
-        while True:
-            got_tag, payload = self._q.get()
-            if got_tag is _ABORT:
-                raise _Aborted
-            self._last = (got_tag, payload)
-            if got_tag == tag:
-                return payload
+        try:
+            got_tag, payload = self._q.get(block=self._blocking)
+        except queue.Empty:
+            raise RuntimeError(f"receive of {tag} before its send") from None
+        if got_tag is _ABORT:
+            raise _Aborted
+        if got_tag != tag:
+            raise RuntimeError(f"expected message {tag}, got {got_tag}")
+        return payload
 
 
-class _ThreadedExchange:
-    def __init__(self, n_ranks: int, n_levels: int):
-        self._channels = {(r, l): _Channel()
-                          for r in range(n_ranks) for l in range(n_levels)}
+class _Exchange(dict):
+    """The channels of one block, keyed by (sending rank, level)."""
+
+    def __init__(self, n_ranks: int, n_levels: int, blocking: bool):
+        super().__init__(((r, l), _Channel(blocking))
+                         for r in range(n_ranks - 1) for l in range(n_levels))
         self.aborted = threading.Event()
-
-    def send(self, sender: int, level: int, tag, payload) -> None:
-        self._channels[(sender, level)].send(tag, payload)
-
-    def recv(self, sender: int, level: int, tag):
-        return self._channels[(sender, level)].recv(tag)
 
     def abort(self) -> None:
         """Stop every rank: receivers, blocked or not yet, raise _Aborted
         once the messages sent before the abort are used up."""
         self.aborted.set()
-        for channel in self._channels.values():
+        for channel in self.values():
             channel.send(_ABORT, None)
 
 
@@ -144,15 +135,12 @@ class _RankHooks(Hooks):
     def pre_coarse_sweep(self, ts: TimeStep) -> None:
         if self.rank > 0:
             coarsest = len(ts.levels) - 1
-            payload = self.engine.exchange.recv(
-                self.rank - 1, coarsest, ("it", self.k))
-            ts.y0[coarsest] = payload
+            ts.y0[coarsest] = self.engine.receive(self.rank, coarsest, self.k)
 
     def post_sweep(self, level_idx: int, ts: TimeStep) -> None:
-        if level_idx == 0:
-            return  # the fine send carries the convergence flag, sent later
-        self.engine.send(self.rank, level_idx,
-                         ("it", self.k), ts.states[level_idx].y[-1])
+        if level_idx > 0:  # the fine send, with the converged flag, is last
+            self.engine.send(self.rank, level_idx, self.k,
+                             ts.states[level_idx].y[-1])
 
 
 class _BlockEngine:
@@ -172,30 +160,33 @@ class _BlockEngine:
         self.vcycles = [0] * p
         self.iterations = [0] * p
         self.converged = [False] * p
-        self.frozen_payload: list[dict] = [dict() for _ in range(p)]
+        # per rank: the last value received on each level, and the
+        # iteration at which its predecessor froze (rank 0 has none)
+        self.inbox: list[dict] = [dict() for _ in range(p)]
+        self.pred_frozen_at = [0] + [max_iter + 1] * (p - 1)
         self.trace: list[TraceRow] = []
         self.record_final_values = record_final_values
         self.final_values: list[np.ndarray] = []
         self._lock = threading.Lock()
 
-    def send(self, rank: int, level: int, tag, payload,
+    def send(self, rank: int, level: int, k: int, value,
              converged: bool = False) -> None:
-        """Forward a copy of a final-node value; the fine-level message
-        also carries the convergence flag."""
-        if rank + 1 == self.p:
-            return  # the last rank has no successor
-        snapshot = payload.copy()
-        self.frozen_payload[rank][level] = snapshot
-        msg = (snapshot, converged) if level == 0 else snapshot
-        self.exchange.send(rank, level, tag, msg)
+        """Forward a copy of a final-node value of iteration k.  The
+        fine-level message, sent last, carries the converged flag."""
+        if rank + 1 < self.p:  # the last rank has no successor
+            self.exchange[rank, level].send(("it", k),
+                                            (value.copy(), converged))
 
-    def resend(self, rank: int, k: int) -> None:
-        """A frozen rank replays its last values under the current tag."""
-        if rank + 1 >= self.p:
-            return
-        for level, payload in self.frozen_payload[rank].items():
-            msg = (payload, True) if level == 0 else payload
-            self.exchange.send(rank, level, ("it", k), msg)
+    def receive(self, rank: int, level: int, k: int) -> np.ndarray:
+        """The predecessor's value of iteration k on one level.  A rank
+        that froze at iteration j sends nothing after j, so its successor
+        keeps the last value of each level for the iterations after j."""
+        if k <= self.pred_frozen_at[rank]:
+            value, converged = self.exchange[rank - 1, level].recv(("it", k))
+            self.inbox[rank][level] = value
+            if converged:
+                self.pred_frozen_at[rank] = k
+        return self.inbox[rank][level]
 
     # ------------------------------------------------------------------
     # predictor
@@ -204,14 +195,15 @@ class _BlockEngine:
         coarsest = len(self.levels) - 1
         if coarsest == 0:
             return  # one level (SDC): nothing coarser to burn in on
-        if rank > 0:
-            tag = ("pred", min(phase, rank - 1))
-            payload = self.exchange.recv(rank - 1, coarsest, tag)
-            ts.y0[coarsest] = payload
+        if phase < rank:
+            # at phase == rank the predecessor has stopped; burn_in left
+            # the value received at phase rank - 1 in ts.y0
+            ts.y0[coarsest] = self.exchange[rank - 1, coarsest].recv(
+                ("pred", phase))
         self.vcycles[rank] += burn_in(ts, self.dt)
         if rank + 1 < self.p:
-            self.exchange.send(rank, coarsest, ("pred", phase),
-                               ts.states[coarsest].y[-1].copy())
+            self.exchange[rank, coarsest].send(
+                ("pred", phase), ts.states[coarsest].y[-1].copy())
 
     def predictor_finalize(self, rank: int) -> None:
         ts = self.steps[rank]
@@ -225,21 +217,16 @@ class _BlockEngine:
     def rank_iteration(self, rank: int, k: int, block: int) -> bool:
         """One PFASST iteration of one rank; returns the converged flag."""
         ts = self.steps[rank]
-        pred_converged = rank == 0
         if rank > 0:
             for level in range(len(self.levels) - 1):
-                msg = self.exchange.recv(rank - 1, level, ("it", k))
-                if level == 0:
-                    payload, pred_converged = msg
-                else:
-                    payload = msg
-                ts.y0[level] = payload
-                ts.states[level].y[0] = payload
-                ts.states[level].f[0] = self.levels[level].operator.apply(payload)
+                value = self.receive(rank, level, k)
+                ts.y0[level] = value
+                ts.states[level].y[0] = value
+                ts.states[level].f[0] = self.levels[level].operator.apply(value)
         cycles = mlsdc_iteration(ts, self.dt, hooks=_RankHooks(self, rank, k))
         res = ts.fine_residual(self.dt)
-        converged = res <= self.tol and pred_converged
-        self.send(rank, 0, ("it", k), ts.states[0].y[-1], converged)
+        converged = res <= self.tol and self.pred_frozen_at[rank] <= k
+        self.send(rank, 0, k, ts.states[0].y[-1], converged)
         with self._lock:
             self.vcycles[rank] += cycles
             self.iterations[rank] = k
@@ -250,51 +237,45 @@ class _BlockEngine:
         return converged
 
 
-def _run_block_serial(engine: _BlockEngine, block: int) -> None:
-    p = engine.p
-    for phase in range(p):
-        for rank in range(phase, p):
-            engine.predictor_phase(rank, phase)
-    for rank in range(p):
-        engine.predictor_finalize(rank)
-    frozen = [False] * p
+def _rank_steps(engine: _BlockEngine, rank: int, block: int):
+    """One rank's part of a block: predictor phases 0..rank, then its
+    iterations.  Yields after each phase and each iteration; returns once
+    the rank freezes or has run max_iter iterations."""
+    for phase in range(rank + 1):
+        engine.predictor_phase(rank, phase)
+        yield
+    engine.predictor_finalize(rank)
     for k in range(1, engine.max_iter + 1):
-        for rank in range(p):
-            if frozen[rank]:
-                engine.resend(rank, k)
-            else:
-                frozen[rank] = engine.rank_iteration(rank, k, block)
-        if frozen[-1]:
-            break
+        if engine.rank_iteration(rank, k, block):
+            return
+        yield
+
+
+def _run_block_serial(engine: _BlockEngine, block: int) -> None:
+    """Steps the rank programs round robin; this order is the normative
+    message schedule.  Predictor phase j runs on ranks j..p-1, then each
+    round runs one iteration of every rank still running, in rank order."""
+    ranks = [_rank_steps(engine, r, block) for r in range(engine.p)]
+    for phase in range(engine.p):
+        for steps in ranks[phase:]:
+            next(steps)
+    done = object()
+    while ranks:
+        ranks = [steps for steps in ranks if next(steps, done) is not done]
 
 
 def _run_block_threaded(engine: _BlockEngine, block: int) -> None:
-    """Runs each rank in its own thread.  A rank that raises stops the
-    others, and the first such exception is raised here after the join."""
-    p = engine.p
+    """Runs each rank's program in its own thread.  A rank that raises
+    stops the others, and the first such exception is raised here after
+    the join."""
     exchange = engine.exchange
     failures: list[BaseException] = []
 
-    def run_rank(rank: int):
-        for phase in range(0, rank + 1):
-            engine.predictor_phase(rank, phase)
-        engine.predictor_finalize(rank)
-        frozen = False
-        for k in range(1, engine.max_iter + 1):
-            if exchange.aborted.is_set():
-                return
-            if frozen:
-                engine.resend(rank, k)
-            else:
-                frozen = engine.rank_iteration(rank, k, block)
-            # successors past the last rank never exist; a frozen chain
-            # ends the block once the final rank freezes
-            if rank == p - 1 and frozen:
-                break
-
     def worker(rank: int):
         try:
-            run_rank(rank)
+            for _ in _rank_steps(engine, rank, block):
+                if exchange.aborted.is_set():
+                    return
         except _Aborted:
             pass
         except BaseException as exc:  # re-raised in the calling thread
@@ -304,13 +285,16 @@ def _run_block_threaded(engine: _BlockEngine, block: int) -> None:
     # each rank runs in a copy of the caller's context, so that NumPy's
     # error state (np.errstate) holds in the rank threads too
     threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(worker, r)) for r in range(p)]
+                                args=(worker, r)) for r in range(engine.p)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
     if failures:
         raise failures[0]
+
+
+_EXECUTORS = {"serial": _run_block_serial, "threaded": _run_block_threaded}
 
 
 def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
@@ -323,7 +307,7 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
     also serial SDC.
     """
     check_hierarchy(levels)
-    if executor not in ("serial", "threaded"):
+    if executor not in _EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}")
     if p < 1 or blocks < 1:
         raise ValueError("need at least one rank and one block")
@@ -332,17 +316,12 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
         raise ValueError("pipelining over ranks needs at least two levels")
     dt = t_end / (p * blocks)
     result = PfasstResult(u=u0)
-    u = u0
     for block in range(blocks):
-        exchange = (_SerialExchange() if executor == "serial"
-                    else _ThreadedExchange(p, len(levels)))
-        engine = _BlockEngine(levels, dt, tol, max_iter, exchange, u, p,
-                              record_final_values=record_final_values)
-        if executor == "serial":
-            _run_block_serial(engine, block)
-        else:
-            _run_block_threaded(engine, block)
-        u = engine.steps[-1].states[0].y[-1].copy()
+        exchange = _Exchange(p, len(levels), blocking=executor == "threaded")
+        engine = _BlockEngine(levels, dt, tol, max_iter, exchange, result.u,
+                              p, record_final_values=record_final_values)
+        _EXECUTORS[executor](engine, block)
+        result.u = engine.steps[-1].states[0].y[-1].copy()
         result.rank_iterations.append(list(engine.iterations))
         result.rank_vcycles.append(list(engine.vcycles))
         result.converged.append(list(engine.converged))
@@ -350,7 +329,6 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
         result.trace.extend(sorted(
             engine.trace, key=lambda r: (r.iteration, r.rank, r.level)))
         result.final_values.append(list(engine.final_values))
-    result.u = u
     return result
 
 

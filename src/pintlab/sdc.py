@@ -140,7 +140,5 @@ def run_sdc(op, table: QuadratureTable, u0: np.ndarray, t_end: float,
     from .hierarchy import Level
     from .pfasst import pfasst_run
 
-    if n_steps < 1:
-        raise ValueError("need at least one time step")
     return pfasst_run([Level(op, table, mg_cfg, policy)], u0, t_end, p=1,
                       blocks=n_steps, tol=tol, max_iter=max_iter)

@@ -185,10 +185,18 @@ class TestMainExitCodes:
         ["pre_sweeps=-1"],
         ["variant=ISDC", "policy=fixed:0"],
         ["variant=ISDC", "policy=tolerance:0"],
+        ["k=0"],
+        ["k=16"],
+        ["nu=inf"],
+        ["t_end=inf"],
+        ["length=nan"],
+        ["tol=nan"],
+        ["omega=nan"],
     ])
     def test_invalid_value_exits_2_with_one_line(self, overrides, tmp_path,
                                                  capsys):
-        # each of these used to escape validation and end in a traceback
+        # each of these used to escape validation and end in a traceback,
+        # a singular factor or a CSV of NaNs
         args = ["single-run", "--out", str(tmp_path / "res.csv"),
                 "--set", "n_x=16", "--set", "n_t=4"]
         for pair in overrides:
@@ -197,6 +205,17 @@ class TestMainExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not (tmp_path / "res.csv").exists()
+
+    def test_invalid_value_of_one_size_exits_2(self, tmp_path, capsys):
+        # k=40 fits the parsed n_x=128 but not weak scaling's n=32, which
+        # the driver validates when it reaches that size
+        out = tmp_path / "res.csv"
+        assert main(["weak-scaling", "--out", str(out),
+                     "--set", "k=40"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "k=40" in err[0]
+        assert not out.exists()
 
     def test_bad_set_syntax_exits_2(self, capsys):
         code = main(["single-run", "--set", "nx16"])
@@ -247,13 +266,13 @@ class TestMainExitCodes:
          "--set", "nodes=3,2", "--set", "orders=2,2", "--set", "p=2"]],
         ids=["ISDC", "IPFASST-threaded"])
     def test_numerical_failure_writes_one_line(self, tmp_path, capsys,
-                                               variant):
+                                               variant, deadline):
         # nu=1e308 overflows the operator itself; NumPy's warnings must
         # not precede the failure line, also from the rank threads
         out = tmp_path / "res.csv"
-        code = main(["single-run", "--out", str(out)] + variant +
-                    ["--set", "policy=tolerance:1e-10", "--set", "n_x=16",
-                     "--set", "n_t=2", "--set", "nu=1e308"])
+        code = deadline(main, ["single-run", "--out", str(out)] + variant +
+                        ["--set", "policy=tolerance:1e-10", "--set",
+                         "n_x=16", "--set", "n_t=2", "--set", "nu=1e308"])
         assert code == 3
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()
@@ -339,13 +358,14 @@ class TestVariantsThroughSingleRun:
         assert rows[0][0] == "IMLSDC"
         assert int(rows[0][6]) > 0  # v-cycles were counted
 
-    def test_ipfasst_single_run_threaded(self, tmp_path):
+    def test_ipfasst_single_run_threaded(self, tmp_path, deadline):
         out = tmp_path / "res.csv"
-        code = main(["single-run", "--out", str(out), "--threads", "4",
-                     "--set", "variant=IPFASST", "--set", "levels=2",
-                     "--set", "nodes=3,2", "--set", "orders=2,2",
-                     "--set", "policy=fixed:2", "--set", "n_x=32",
-                     "--set", "n_t=4", "--set", "p=4"])
+        code = deadline(main, ["single-run", "--out", str(out),
+                               "--threads", "4", "--set", "variant=IPFASST",
+                               "--set", "levels=2", "--set", "nodes=3,2",
+                               "--set", "orders=2,2",
+                               "--set", "policy=fixed:2", "--set", "n_x=32",
+                               "--set", "n_t=4", "--set", "p=4"])
         assert code == 0
         _, rows, footer = read_output(out)
         assert rows[0][-1] == "ok"

@@ -12,9 +12,9 @@ from pintlab.hierarchy import (
     compute_fas,
     mlsdc_iteration,
     restrict_state,
-    run_mlsdc,
 )
 from pintlab.multigrid import Direct, FixedCycles, MgConfig
+from pintlab.pfasst import pfasst_run
 from pintlab.quadrature import uniform_table
 from pintlab.sdc import collocation_solve, residual, run_sdc
 from pintlab.transfers import full_weighting
@@ -164,7 +164,8 @@ class TestRunMlsdc:
         fine = make_level(32, 2)
         coarse = make_level(16, 1)
         u0 = initial_condition(fine.grid, 1)
-        ml = run_mlsdc([fine, coarse], u0, 0.2, 4, 1e-12, 30)
+        ml = pfasst_run([fine, coarse], u0, 0.2, p=1, blocks=4, tol=1e-12,
+                        max_iter=30)
         sl = run_sdc(fine.operator, fine.table, u0, 0.2, 4, 1e-12, 30,
                      fine.mg_cfg, fine.policy)
         assert np.max(np.abs(ml.u - sl.u)) < 1e-10
@@ -173,12 +174,14 @@ class TestRunMlsdc:
         levels = [make_level(32, 2, policy=FixedCycles(2)),
                   make_level(16, 1, policy=FixedCycles(2))]
         u0 = initial_condition(levels[0].grid, 1)
-        result = run_mlsdc(levels, u0, 0.1, 2, 1e-10, 30)
+        result = pfasst_run(levels, u0, 0.1, p=1, blocks=2, tol=1e-10,
+                            max_iter=30)
         assert result.vcycles > 0
         assert not result.exhausted_steps
 
     def test_exhaustion_recorded(self):
         levels = [make_level(16, 2), make_level(8, 1)]
         u0 = initial_condition(levels[0].grid, 1)
-        result = run_mlsdc(levels, u0, 0.1, 1, 1e-300, 2)
+        result = pfasst_run(levels, u0, 0.1, p=1, blocks=1, tol=1e-300,
+                            max_iter=2)
         assert result.exhausted_steps == [0]

@@ -1,7 +1,6 @@
 """Tests for the pipelined time-parallel engine."""
 
 import sys
-import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -11,14 +10,9 @@ import pytest
 from pintlab.cli import PRESETS, build_levels
 from pintlab.config import parse_config
 from pintlab.heat import Grid, HeatOperator, initial_condition, scalar_operator
-from pintlab.hierarchy import (Level, TimeStep, interpolate_up,
-                               mlsdc_iteration, run_mlsdc)
+from pintlab.hierarchy import Level, TimeStep, interpolate_up, mlsdc_iteration
 from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
-from pintlab.pfasst import (
-    PfasstResult,
-    pfasst_run,
-    write_trace_csv,
-)
+from pintlab.pfasst import PfasstResult, _Channel, pfasst_run, write_trace_csv
 from pintlab.quadrature import uniform_table
 from pintlab.sdc import SubStepError, residual, run_sdc, sdc_sweep
 
@@ -34,26 +28,80 @@ def make_levels(n=32, policy=None, dim=1):
     ]
 
 
+def weak_scaling_case(**overrides):
+    cfg = parse_config(None, {k: str(v) for k, v in overrides.items()},
+                       experiment="weak-scaling", **PRESETS["weak-scaling"])
+    levels = build_levels(cfg)
+    kwargs = dict(p=cfg.p, blocks=cfg.n_t // cfg.p, tol=cfg.tol,
+                  max_iter=cfg.max_iter, record_final_values=True)
+    return levels, initial_condition(levels[0].grid, cfg.k), cfg.t_end, kwargs
+
+
+# id -> (levels, initial value, t_end, pfasst_run keywords,
+#        rank_iterations of every block)
+PIPELINE_CASES = {
+    "two-level": lambda: (
+        make_levels(), initial_condition(Grid(1, 32), 1), 0.25,
+        dict(p=4, tol=1e-10, max_iter=12, record_final_values=True),
+        [[10, 11, 11, 11]]),
+    # ranks freeze at different iterations in both blocks
+    "weak-scaling-staggered": lambda: (
+        *weak_scaling_case(n_x=64, n_t=8, p=4, tol=1e-12),
+        [[7, 8, 9, 10], [6, 7, 8, 8]]),
+    # no rank converges: every rank runs max_iter iterations
+    "weak-scaling-max-iter": lambda: (
+        *weak_scaling_case(n_x=32, n_t=16, p=8, max_iter=3),
+        [[3] * 8, [3] * 8]),
+}
+
+
 class TestEquivalences:
     def test_single_rank_equals_serial_mlsdc(self):
         levels = make_levels()
         u0 = initial_condition(levels[0].grid, 1)
-        serial = run_mlsdc(levels, u0, 0.25, 1, 1e-10, 12)
+        serial = reference_mlsdc(levels, u0, 0.25, 1, 1e-10, 12)
         parallel = pfasst_run(levels, u0, 0.25, p=1, tol=1e-10, max_iter=12)
         np.testing.assert_array_equal(parallel.u, serial.u)
 
-    def test_serial_and_threaded_executors_bitwise_identical(self):
-        levels = make_levels()
-        u0 = initial_condition(levels[0].grid, 1)
-        a = pfasst_run(levels, u0, 0.25, p=4, tol=1e-10, max_iter=12,
-                       executor="serial")
-        b = pfasst_run(levels, u0, 0.25, p=4, tol=1e-10, max_iter=12,
-                       executor="threaded")
+    @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+    def test_serial_and_threaded_executors_bitwise_identical(self, case,
+                                                             deadline):
+        levels, u0, t_end, kwargs, rank_iterations = PIPELINE_CASES[case]()
+        a = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
+        b = deadline(pfasst_run, levels, u0, t_end, executor="threaded",
+                     **kwargs)
+        assert a.rank_iterations == b.rank_iterations == rank_iterations
         np.testing.assert_array_equal(a.u, b.u)
-        assert a.rank_iterations == b.rank_iterations
         assert a.rank_vcycles == b.rank_vcycles
-        assert [(r.rank, r.iteration, r.residual) for r in a.trace] == \
-               [(r.rank, r.iteration, r.residual) for r in b.trace]
+        assert a.converged == b.converged
+        assert a.trace == b.trace
+        assert len(a.final_values) == len(b.final_values)
+        for block_a, block_b in zip(a.final_values, b.final_values):
+            assert len(block_a) == len(block_b)
+            for u_a, u_b in zip(block_a, block_b):
+                np.testing.assert_array_equal(u_a, u_b)
+
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+    def test_block_sends_each_message_once(self, case, executor, deadline,
+                                           monkeypatch):
+        # p(p-1)/2 predictor messages, then one message per level for each
+        # iteration of a rank with a successor; a frozen rank sends nothing
+        tags = []
+        send = _Channel.send
+
+        def counting_send(self, tag, payload):
+            tags.append(tag[0])
+            send(self, tag, payload)
+
+        monkeypatch.setattr(_Channel, "send", counting_send)
+        levels, u0, t_end, kwargs, _ = PIPELINE_CASES[case]()
+        res = deadline(pfasst_run, levels, u0, t_end, executor=executor,
+                       **kwargs)
+        p, blocks = kwargs["p"], len(res.rank_iterations)
+        assert tags.count("pred") == blocks * p * (p - 1) // 2
+        assert tags.count("it") == len(levels) * sum(
+            sum(block[:-1]) for block in res.rank_iterations)
 
     def test_exactness_in_p_iterations(self):
         # after p iterations the parallel solution agrees with the serial
@@ -61,7 +109,8 @@ class TestEquivalences:
         levels = make_levels()
         u0 = initial_condition(levels[0].grid, 1)
         p = 4
-        serial = run_mlsdc(levels, u0, 0.25, p, 1e-13, 40)
+        serial = pfasst_run(levels, u0, 0.25, p=1, blocks=p, tol=1e-13,
+                            max_iter=40)
         parallel = pfasst_run(levels, u0, 0.25, p=p, tol=1e-13, max_iter=40)
         assert np.max(np.abs(parallel.u - serial.u)) < 1e-10
 
@@ -70,7 +119,8 @@ class TestEquivalences:
         u0 = initial_condition(levels[0].grid, 1)
         two_blocks = pfasst_run(levels, u0, 0.5, p=2, blocks=2,
                                 tol=1e-11, max_iter=20)
-        serial = run_mlsdc(levels, u0, 0.5, 4, 1e-11, 20)
+        serial = pfasst_run(levels, u0, 0.5, p=1, blocks=4, tol=1e-11,
+                            max_iter=20)
         assert np.max(np.abs(two_blocks.u - serial.u)) < 1e-9
         assert len(two_blocks.rank_iterations) == 2
 
@@ -145,8 +195,8 @@ ENGINE_CASES = {
 
 
 class TestOneEngine:
-    """run_sdc, run_mlsdc and pfasst_run on one rank step exactly like
-    the serial MLSDC loop."""
+    """run_sdc and pfasst_run on one rank step exactly like the serial
+    MLSDC loop."""
 
     @staticmethod
     def assert_matches(res, ref):
@@ -162,17 +212,15 @@ class TestOneEngine:
     def test_drivers_match_serial_reference(self, case):
         levels, u0, t_end, n_steps, tol, max_iter = ENGINE_CASES[case]()
         ref = reference_mlsdc(levels, u0, t_end, n_steps, tol, max_iter)
+        engine = pfasst_run(levels, u0, t_end, p=1, blocks=n_steps, tol=tol,
+                            max_iter=max_iter)
+        self.assert_matches(engine, ref)
         if len(levels) == 1:
             lvl = levels[0]
             driver = run_sdc(lvl.operator, lvl.table, u0, t_end, n_steps,
                              tol, max_iter, lvl.mg_cfg, lvl.policy)
-        else:
-            driver = run_mlsdc(levels, u0, t_end, n_steps, tol, max_iter)
-        engine = pfasst_run(levels, u0, t_end, p=1, blocks=n_steps, tol=tol,
-                            max_iter=max_iter)
-        self.assert_matches(driver, ref)
-        self.assert_matches(engine, ref)
-        assert isinstance(driver, PfasstResult)
+            self.assert_matches(driver, ref)
+            assert isinstance(driver, PfasstResult)
 
     def test_cases_cover_one_sweep_and_exhaustion(self):
         def reference(case):
@@ -260,27 +308,50 @@ class TestValidation:
             pfasst_run(levels, u0, 0.25, p=2, blocks=0)
 
     @pytest.mark.parametrize("executor", ["serial", "threaded"])
-    def test_rejects_several_ranks_on_one_level(self, executor):
+    def test_rejects_several_ranks_on_one_level(self, executor, deadline):
         # on one level a rank would never receive its predecessor's value
         # and would return a wrong answer
         levels = make_levels()[:1]
         u0 = initial_condition(levels[0].grid, 1)
         with pytest.raises(ValueError, match="two levels"):
-            pfasst_run(levels, u0, 0.25, p=2, tol=1e-9, executor=executor)
+            deadline(pfasst_run, levels, u0, 0.25, p=2, tol=1e-9,
+                     executor=executor)
+
+
+class TestChannel:
+    def test_serial_receive_without_message_raises_at_once(self):
+        with pytest.raises(RuntimeError, match="before its send"):
+            _Channel(blocking=False).recv(("it", 1))
+
+    @pytest.mark.parametrize("blocking", [False, True])
+    def test_wrong_tag_raises(self, blocking):
+        channel = _Channel(blocking)
+        channel.send(("pred", 0), np.zeros(1))
+        with pytest.raises(RuntimeError, match="expected message"):
+            channel.recv(("it", 1))
+
+    def test_messages_are_received_once_in_send_order(self):
+        channel = _Channel(blocking=False)
+        for k in (1, 2):
+            channel.send(("it", k), k)
+        assert [channel.recv(("it", k)) for k in (1, 2)] == [1, 2]
+        with pytest.raises(RuntimeError):
+            channel.recv(("it", 2))
 
 
 class TestCachedSetup:
     @pytest.mark.parametrize("executor", ["serial", "threaded"])
-    def test_repeat_runs_are_bitwise_equal(self, executor, cold_caches):
+    def test_repeat_runs_are_bitwise_equal(self, executor, cold_caches,
+                                           deadline):
         levels = make_levels()
         u0 = initial_condition(levels[0].grid, 1)
-        a, b = (pfasst_run(levels, u0, 0.25, p=4, tol=1e-10, max_iter=12,
-                           executor=executor) for _ in range(2))
+        a, b = (deadline(pfasst_run, levels, u0, 0.25, p=4, tol=1e-10,
+                         max_iter=12, executor=executor) for _ in range(2))
         np.testing.assert_array_equal(a.u, b.u)
         assert a.rank_iterations == b.rank_iterations
         assert a.rank_vcycles == b.rank_vcycles
 
-    def test_threaded_cold_start_matches_serial(self, cold_caches):
+    def test_threaded_cold_start_matches_serial(self, cold_caches, deadline):
         # four rank threads race to build the shared operators and
         # factors; a short switch interval makes them interleave often
         levels = make_levels()
@@ -288,8 +359,8 @@ class TestCachedSetup:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = pfasst_run(levels, u0, 0.25, p=4, tol=1e-10,
-                                  max_iter=12, executor="threaded")
+            threaded = deadline(pfasst_run, levels, u0, 0.25, p=4,
+                                tol=1e-10, max_iter=12, executor="threaded")
         finally:
             sys.setswitchinterval(interval)
         serial = pfasst_run(levels, u0, 0.25, p=4, tol=1e-10, max_iter=12)
@@ -300,7 +371,7 @@ class TestCachedSetup:
 
 class TestFailures:
     @pytest.mark.parametrize("executor", ["serial", "threaded"])
-    def test_substep_failure_raises_promptly(self, executor):
+    def test_substep_failure_raises_promptly(self, executor, deadline):
         # weak-scaling levels where one V-cycle cannot reach 1e-15: rank 0
         # fails in its predictor while rank 1 waits for its message
         cfg = parse_config(None, {"n_x": "32", "n_t": "2", "p": "2"},
@@ -308,16 +379,6 @@ class TestFailures:
         levels = [replace(lvl, policy=ToTolerance(tol=1e-15, max_cycles=1))
                   for lvl in build_levels(cfg)]
         u0 = initial_condition(levels[0].grid, 1)
-        outcome = []
-
-        def run():
-            try:
-                pfasst_run(levels, u0, cfg.t_end, p=2, executor=executor)
-            except SubStepError as exc:
-                outcome.append(exc)
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        thread.join(timeout=10)
-        assert not thread.is_alive(), "pfasst_run did not return"
-        assert len(outcome) == 1
+        with pytest.raises(SubStepError):
+            deadline(pfasst_run, levels, u0, cfg.t_end, p=2,
+                     executor=executor, timeout=10)
