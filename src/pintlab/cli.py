@@ -276,6 +276,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.threads > 1:
         preset["executor"] = "threaded"
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads={args.threads} is below 1")
         overrides = _parse_overrides(args.overrides)
         if args.out is not None:
             overrides["out"] = args.out

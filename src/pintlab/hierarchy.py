@@ -129,97 +129,79 @@ def coarse_correction(fine_states: NodeStates, old_restricted: NodeStates,
 
 @dataclass
 class TimeStep:
-    """Mutable working state of one time step across the level hierarchy."""
+    """Working state of one time step; level l starts from states[l].y[0]."""
 
     levels: list[Level]
     states: list[NodeStates]
-    y0: list[np.ndarray]
     tau: list[np.ndarray | None]  # FAS corrections; None until set
 
     @classmethod
     def spread(cls, levels: list[Level], u0: np.ndarray) -> "TimeStep":
         """All nodes of all levels initialized with the initial value."""
-        states, y0s = [], []
+        states = []
         u = u0
         prev = None
         for lvl in levels:
             if prev is not None:
                 u = restrict_space(u, prev, lvl)
             states.append(NodeStates.spread(lvl.operator, lvl.table, u))
-            y0s.append(u.copy())
             prev = lvl
-        return cls(levels=levels, states=states, y0=y0s,
-                   tau=[None] * len(levels))
+        return cls(levels=levels, states=states, tau=[None] * len(levels))
+
+    def sweep(self, l: int, dt: float) -> int:
+        """One sweep of level l from its node-0 value; returns V-cycles."""
+        lvl, states = self.levels[l], self.states[l]
+        return sdc_sweep(states, states.y[0], dt, lvl.operator, lvl.mg_cfg,
+                         lvl.policy, tau=self.tau[l])
 
     def fine_residual(self, dt: float) -> float:
-        return residual(self.states[0], self.y0[0], dt)
+        return residual(self.states[0], self.states[0].y[0], dt)
 
 
-class Hooks:
-    """Extension points used by the time-parallel engine; no-ops here."""
-
-    def pre_coarse_sweep(self, ts: TimeStep) -> None:
-        pass
-
-    def post_sweep(self, level_idx: int, ts: TimeStep) -> None:
-        pass
-
-
-def mlsdc_iteration(ts: TimeStep, dt: float, hooks: Hooks | None = None) -> int:
+def mlsdc_iteration(ts: TimeStep, dt: float,
+                    coarse_y0: np.ndarray | None = None) -> int:
     """One V-shaped pass over the hierarchy.  Returns V-cycles consumed.
 
-    A single-level hierarchy degenerates to one plain sweep.
+    `coarse_y0`, when given, replaces the coarsest initial value after the
+    down pass.  A single-level hierarchy degenerates to one plain sweep.
     """
-    hooks = hooks or Hooks()
     levels, states = ts.levels, ts.states
-    n_lvl = len(levels)
-    old_restricted: list[NodeStates | None] = [None] * n_lvl
-    for l in range(n_lvl - 1):
+    lc = len(levels) - 1
+    old_restricted: list[NodeStates | None] = [None] * len(levels)
+    for l in range(lc):
         restricted = restrict_state(states[l], levels[l], levels[l + 1])
         ts.tau[l + 1] = compute_fas(states[l], restricted, levels[l],
                                     levels[l + 1], dt, fine_tau=ts.tau[l])
         old_restricted[l + 1] = restricted.copy()
         states[l + 1] = restricted
-        ts.y0[l + 1] = restricted.y[0].copy()
 
-    hooks.pre_coarse_sweep(ts)  # may replace the coarsest initial value
-    lc = n_lvl - 1
-    cycles = sdc_sweep(states[lc], ts.y0[lc], dt, levels[lc].operator,
-                       levels[lc].mg_cfg, levels[lc].policy, tau=ts.tau[lc])
-    hooks.post_sweep(lc, ts)
-
-    for l in range(n_lvl - 2, -1, -1):
+    if coarse_y0 is not None:
+        states[lc].y[0] = coarse_y0
+    cycles = ts.sweep(lc, dt)
+    for l in range(lc - 1, -1, -1):
         coarse_correction(states[l], old_restricted[l + 1], states[l + 1],
                           levels[l], levels[l + 1])
-        ts.y0[l] = states[l].y[0].copy()
-        cycles += sdc_sweep(states[l], ts.y0[l], dt, levels[l].operator,
-                            levels[l].mg_cfg, levels[l].policy, tau=ts.tau[l])
-        hooks.post_sweep(l, ts)
+        cycles += ts.sweep(l, dt)
     return cycles
 
 
 def burn_in(ts: TimeStep, dt: float) -> int:
     """One coarsest-level sweep, used to seed a freshly spread step."""
-    lc = len(ts.levels) - 1
-    lvl = ts.levels[lc]
-    return sdc_sweep(ts.states[lc], ts.y0[lc], dt, lvl.operator, lvl.mg_cfg,
-                     lvl.policy, tau=ts.tau[lc])
+    return ts.sweep(len(ts.levels) - 1, dt)
 
 
-def interpolate_up(ts: TimeStep, spread_copies: list[NodeStates],
+def interpolate_up(ts: TimeStep, spread: list[NodeStates],
                    exact_y0: np.ndarray | None = None) -> None:
     """Propagate the burn-in coarse state to the finer levels.
 
-    `spread_copies[l]` is the pre-burn-in state of level l (the restriction
-    of the spread fine state).  When `exact_y0` is given, the fine initial
-    value is pinned to it afterwards (rank 0 / serial semantics).
+    `spread[l]`, only read, is the pre-burn-in state of level l (restricted
+    from the spread fine state).  When `exact_y0` is given, the fine
+    initial value is pinned to it afterwards (rank 0 / serial semantics).
     """
     levels, states = ts.levels, ts.states
     for l in range(len(levels) - 2, -1, -1):
-        coarse_correction(states[l], spread_copies[l + 1], states[l + 1],
+        coarse_correction(states[l], spread[l + 1], states[l + 1],
                           levels[l], levels[l + 1])
-        ts.y0[l] = states[l].y[0].copy()
     if exact_y0 is not None:
-        ts.y0[0] = exact_y0.copy()
-        ts.states[0].y[0] = exact_y0
-        ts.states[0].f[0] = levels[0].operator.apply(exact_y0)
+        states[0].y[0] = exact_y0
+        states[0].f[0] = levels[0].operator.apply(exact_y0)

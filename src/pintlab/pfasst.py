@@ -4,10 +4,10 @@ This is pintlab's one time-stepping engine: serial MLSDC is PFASST on one
 rank with one block per step, and SDC is MLSDC on one level.
 
 Each time step of a block is owned by one rank.  A rank's iteration
-receives the freshest initial values from its predecessor (blocking on the
-coarsest level), runs one MLSDC pass, and forwards its final-node values
-per level.  A rank freezes once it and its predecessor have converged;
-it then stops, and its successor keeps the last values it received.
+receives its predecessor's fine and coarsest final-node values, runs one
+MLSDC pass, and sends its own: the coarsest value, then the fine value
+with its converged flag.  A rank freezes once it and its predecessor have
+converged; it then stops, and its successor keeps the last values.
 
 Each rank's part of a block is written once, as the generator
 `_rank_steps`.  The serial executor steps the ranks' generators round
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hierarchy import (Hooks, Level, TimeStep, burn_in, check_hierarchy,
+from .hierarchy import (Level, TimeStep, burn_in, check_hierarchy,
                         interpolate_up, mlsdc_iteration)
 
 
@@ -108,11 +108,14 @@ class _Channel:
 
 
 class _Exchange(dict):
-    """The channels of one block, keyed by (sending rank, level)."""
+    """The channels of one block, keyed by (sending rank, level).  Only the
+    fine and the coarsest level exchange values: the down pass restricts
+    the levels between from the fine one."""
 
     def __init__(self, n_ranks: int, n_levels: int, blocking: bool):
         super().__init__(((r, l), _Channel(blocking))
-                         for r in range(n_ranks - 1) for l in range(n_levels))
+                         for r in range(n_ranks - 1)
+                         for l in {0, n_levels - 1})
         self.aborted = threading.Event()
 
     def abort(self) -> None:
@@ -121,26 +124,6 @@ class _Exchange(dict):
         self.aborted.set()
         for channel in self.values():
             channel.send(_ABORT, None)
-
-
-class _RankHooks(Hooks):
-    """Wires the coarse-level blocking receive and per-level sends into
-    the MLSDC pass of one rank."""
-
-    def __init__(self, engine: "_BlockEngine", rank: int, k: int):
-        self.engine = engine
-        self.rank = rank
-        self.k = k
-
-    def pre_coarse_sweep(self, ts: TimeStep) -> None:
-        if self.rank > 0:
-            coarsest = len(ts.levels) - 1
-            ts.y0[coarsest] = self.engine.receive(self.rank, coarsest, self.k)
-
-    def post_sweep(self, level_idx: int, ts: TimeStep) -> None:
-        if level_idx > 0:  # the fine send, with the converged flag, is last
-            self.engine.send(self.rank, level_idx, self.k,
-                             ts.states[level_idx].y[-1])
 
 
 class _BlockEngine:
@@ -154,9 +137,13 @@ class _BlockEngine:
         self.max_iter = max_iter
         self.exchange = exchange
         self.p = p
-        self.steps = [TimeStep.spread(levels, u0) for _ in range(p)]
-        self.spread_copies = [[s.copy() for s in ts.states]
-                              for ts in self.steps]
+        self.u0 = u0
+        # every rank starts from the same spread, which stays read-only
+        self.spread = TimeStep.spread(levels, u0).states
+        for states in self.spread:
+            states.y.flags.writeable = states.f.flags.writeable = False
+        self.steps = [TimeStep(levels, [s.copy() for s in self.spread],
+                               [None] * len(levels)) for _ in range(p)]
         self.vcycles = [0] * p
         self.iterations = [0] * p
         self.converged = [False] * p
@@ -196,9 +183,9 @@ class _BlockEngine:
         if coarsest == 0:
             return  # one level (SDC): nothing coarser to burn in on
         if phase < rank:
-            # at phase == rank the predecessor has stopped; burn_in left
-            # the value received at phase rank - 1 in ts.y0
-            ts.y0[coarsest] = self.exchange[rank - 1, coarsest].recv(
+            # at phase == rank the predecessor has stopped, and the value
+            # received at phase rank - 1 is still the coarsest node 0
+            ts.states[coarsest].y[0] = self.exchange[rank - 1, coarsest].recv(
                 ("pred", phase))
         self.vcycles[rank] += burn_in(ts, self.dt)
         if rank + 1 < self.p:
@@ -206,26 +193,28 @@ class _BlockEngine:
                 ("pred", phase), ts.states[coarsest].y[-1].copy())
 
     def predictor_finalize(self, rank: int) -> None:
-        ts = self.steps[rank]
         if len(self.levels) == 1:
             return  # nothing was burnt in
-        exact = ts.y0[0] if rank == 0 else None
-        interpolate_up(ts, self.spread_copies[rank], exact_y0=exact)
+        interpolate_up(self.steps[rank], self.spread,
+                       exact_y0=self.u0 if rank == 0 else None)
 
     # ------------------------------------------------------------------
     # main iteration
     def rank_iteration(self, rank: int, k: int, block: int) -> bool:
-        """One PFASST iteration of one rank; returns the converged flag."""
+        """One PFASST iteration of one rank; returns the converged flag.
+        The fine value is received first and sent last."""
         ts = self.steps[rank]
+        coarsest = len(self.levels) - 1
+        coarse_y0 = None
         if rank > 0:
-            for level in range(len(self.levels) - 1):
-                value = self.receive(rank, level, k)
-                ts.y0[level] = value
-                ts.states[level].y[0] = value
-                ts.states[level].f[0] = self.levels[level].operator.apply(value)
-        cycles = mlsdc_iteration(ts, self.dt, hooks=_RankHooks(self, rank, k))
+            value = self.receive(rank, 0, k)
+            ts.states[0].y[0] = value
+            ts.states[0].f[0] = self.levels[0].operator.apply(value)
+            coarse_y0 = self.receive(rank, coarsest, k)
+        cycles = mlsdc_iteration(ts, self.dt, coarse_y0)
         res = ts.fine_residual(self.dt)
         converged = res <= self.tol and self.pred_frozen_at[rank] <= k
+        self.send(rank, coarsest, k, ts.states[coarsest].y[-1])
         self.send(rank, 0, k, ts.states[0].y[-1], converged)
         with self._lock:
             self.vcycles[rank] += cycles
@@ -309,8 +298,8 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
     check_hierarchy(levels)
     if executor not in _EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}")
-    if p < 1 or blocks < 1:
-        raise ValueError("need at least one rank and one block")
+    if p < 1 or blocks < 1 or max_iter < 1:
+        raise ValueError("need at least one rank, block and iteration")
     if len(levels) == 1 and p > 1:
         # on one level a rank never receives its predecessor's values
         raise ValueError("pipelining over ranks needs at least two levels")

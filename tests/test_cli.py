@@ -192,6 +192,8 @@ class TestMainExitCodes:
         ["length=nan"],
         ["tol=nan"],
         ["omega=nan"],
+        ["--threads=0"],
+        ["--threads=-4"],
     ])
     def test_invalid_value_exits_2_with_one_line(self, overrides, tmp_path,
                                                  capsys):
@@ -200,7 +202,7 @@ class TestMainExitCodes:
         args = ["single-run", "--out", str(tmp_path / "res.csv"),
                 "--set", "n_x=16", "--set", "n_t=4"]
         for pair in overrides:
-            args += ["--set", pair]
+            args += [pair] if pair.startswith("--") else ["--set", pair]
         assert main(args) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")

@@ -12,7 +12,8 @@ from pintlab.config import parse_config
 from pintlab.heat import Grid, HeatOperator, initial_condition, scalar_operator
 from pintlab.hierarchy import Level, TimeStep, interpolate_up, mlsdc_iteration
 from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
-from pintlab.pfasst import PfasstResult, _Channel, pfasst_run, write_trace_csv
+from pintlab.pfasst import (_EXECUTORS, PfasstResult, _BlockEngine, _Channel,
+                            _Exchange, pfasst_run, write_trace_csv)
 from pintlab.quadrature import uniform_table
 from pintlab.sdc import SubStepError, residual, run_sdc, sdc_sweep
 
@@ -85,8 +86,9 @@ class TestEquivalences:
     @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
     def test_block_sends_each_message_once(self, case, executor, deadline,
                                            monkeypatch):
-        # p(p-1)/2 predictor messages, then one message per level for each
-        # iteration of a rank with a successor; a frozen rank sends nothing
+        # p(p-1)/2 predictor messages, then one message on the fine level
+        # and one on the coarsest for each iteration of a rank with a
+        # successor; a frozen rank sends nothing
         tags = []
         send = _Channel.send
 
@@ -100,7 +102,7 @@ class TestEquivalences:
                        **kwargs)
         p, blocks = kwargs["p"], len(res.rank_iterations)
         assert tags.count("pred") == blocks * p * (p - 1) // 2
-        assert tags.count("it") == len(levels) * sum(
+        assert tags.count("it") == min(len(levels), 2) * sum(
             sum(block[:-1]) for block in res.rank_iterations)
 
     def test_exactness_in_p_iterations(self):
@@ -142,14 +144,14 @@ def reference_mlsdc(levels, u0, t_end, n_steps, tol, max_iter):
         if len(levels) > 1:
             spread_copies = [s.copy() for s in ts.states]
             lc = len(levels) - 1
-            out.vcycles += sdc_sweep(ts.states[lc], ts.y0[lc], dt,
+            out.vcycles += sdc_sweep(ts.states[lc], ts.states[lc].y[0], dt,
                                      levels[lc].operator, levels[lc].mg_cfg,
                                      levels[lc].policy)
             interpolate_up(ts, spread_copies, exact_y0=u)
         history = []
         for _ in range(max_iter):
             out.vcycles += mlsdc_iteration(ts, dt)
-            history.append(residual(ts.states[0], ts.y0[0], dt))
+            history.append(residual(ts.states[0], ts.states[0].y[0], dt))
             if history[-1] <= tol:
                 break
         else:
@@ -317,6 +319,25 @@ class TestValidation:
             deadline(pfasst_run, levels, u0, 0.25, p=2, tol=1e-9,
                      executor=executor)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    def test_rejects_fewer_than_one_iteration(self, executor, max_iter,
+                                              deadline):
+        # such a run used to return the predictor's state, with every
+        # rank unconverged, zero iterations and an empty trace
+        levels, u0, t_end, kwargs = weak_scaling_case(n_x=32, p=4)
+        kwargs["max_iter"] = max_iter
+        with pytest.raises(ValueError, match="iteration"):
+            deadline(pfasst_run, levels, u0, t_end, executor=executor,
+                     **kwargs)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_run_sdc_rejects_fewer_than_one_iteration(self, max_iter):
+        op = scalar_operator(-1.0)
+        with pytest.raises(ValueError, match="iteration"):
+            run_sdc(op, uniform_table(2), np.array([1.0]), 1.0, 2, 1e-10,
+                    max_iter, MgConfig(), Direct())
+
 
 class TestChannel:
     def test_serial_receive_without_message_raises_at_once(self):
@@ -337,6 +358,52 @@ class TestChannel:
         assert [channel.recv(("it", k)) for k in (1, 2)] == [1, 2]
         with pytest.raises(RuntimeError):
             channel.recv(("it", 2))
+
+
+class TestExchange:
+    @pytest.mark.parametrize("n_levels", [2, 3])
+    def test_channels_only_on_fine_and_coarsest_levels(self, n_levels):
+        # the down pass restricts the levels between from the fine one, so
+        # nothing is sent on them
+        exchange = _Exchange(3, n_levels, blocking=False)
+        assert set(exchange) == {(r, l) for r in range(2)
+                                 for l in (0, n_levels - 1)}
+
+
+class TestSharedSpread:
+    """Every rank of a block starts from copies of one read-only spread."""
+
+    @staticmethod
+    def arrays(states):
+        return [a for s in states for a in (s.y, s.f)]
+
+    def assert_private(self, engine):
+        assert not any(a.flags.writeable
+                       for a in self.arrays(engine.spread))
+        rank_arrays = [self.arrays(ts.states) for ts in engine.steps]
+        for rank, own in enumerate(rank_arrays):
+            others = self.arrays(engine.spread) + [
+                b for r, theirs in enumerate(rank_arrays) if r != rank
+                for b in theirs]
+            assert not any(np.shares_memory(a, b)
+                           for a in own for b in others)
+
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    def test_spread_is_read_only_and_never_shared(self, executor, deadline):
+        levels, u0, t_end, kwargs = weak_scaling_case(n_x=32, n_t=4, p=4)
+        engine = _BlockEngine(levels, t_end / 4, kwargs["tol"],
+                              kwargs["max_iter"],
+                              _Exchange(4, len(levels),
+                                        blocking=executor == "threaded"),
+                              u0, 4)
+        self.assert_private(engine)
+        deadline(_EXECUTORS[executor], engine, 0)
+        assert [engine.iterations] == pfasst_run(
+            levels, u0, t_end, **kwargs).rank_iterations
+        self.assert_private(engine)
+        fresh = TimeStep.spread(levels, u0).states
+        for a, b in zip(self.arrays(engine.spread), self.arrays(fresh)):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestCachedSetup:
