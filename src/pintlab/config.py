@@ -181,8 +181,13 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     if cfg.experiment == "vcycle-study" and kind != "fixed":
         problems.append("vcycle-study requires a FixedCycles policy "
                         "(policy=fixed:V)")
-    if cfg.variant in ("PFASST", "IPFASST") and cfg.n_t % cfg.p:
+    pipelined = cfg.variant in ("PFASST", "IPFASST")
+    if pipelined and cfg.n_t % cfg.p:
         problems.append(f"n_t={cfg.n_t} must be a multiple of p={cfg.p}")
+    if (cfg.experiment in ("vcycle-study", "weak-scaling", "strong-3d")
+            and not pipelined):
+        problems.append(f"{cfg.experiment} runs over p ranks and needs "
+                        f"variant PFASST or IPFASST, got {cfg.variant}")
 
     if problems:
         raise ConfigError("; ".join(problems))

@@ -13,14 +13,13 @@ equation stays consistent with the finest level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .heat import HeatOperator
 from .multigrid import MgConfig, SolvePolicy
-from .quadrature import (TRANSFER_CACHE_SIZE, NodeSet, QuadratureTable,
-                         correction_interpolation, time_restriction)
+from .quadrature import (QuadratureTable, correction_interpolation,
+                         time_restriction)
 from .sdc import NodeStates, residual, sdc_sweep
 from .transfers import full_weighting, inject, interp_cubic, interp_linear
 
@@ -80,20 +79,13 @@ def _space_interp(u: np.ndarray, fine: Level, coarse: Level) -> np.ndarray:
     return interp_cubic(u)
 
 
-@lru_cache(maxsize=TRANSFER_CACHE_SIZE)
-def _time_indices(fine: NodeSet, coarse: NodeSet) -> tuple[int, ...]:
-    """Index of the fine node at each coarse node."""
-    r = time_restriction(fine, coarse)
-    return tuple(int(np.argmax(row)) for row in r)
-
-
 def restrict_state(fine_states: NodeStates, fine: Level,
                    coarse: Level) -> NodeStates:
     """Node selection in time, spatial restriction per the fine level's
     policy; the coarse f-cache is recomputed."""
-    idx = _time_indices(fine.table.nodes, coarse.table.nodes)
+    idx = time_restriction(fine.table.nodes, coarse.table.nodes)
     y = np.stack([restrict_space(fine_states.y[i], fine, coarse) for i in idx])
-    states = NodeStates(coarse.table, y, np.empty_like(y))
+    states = NodeStates(coarse.table, y, np.empty_like(y[1:]))
     states.refresh(coarse.operator)
     return states
 
@@ -104,21 +96,24 @@ def compute_fas(fine_states: NodeStates, coarse_states: NodeStates,
     """FAS correction: restricted fine node integrals minus coarse node
     integrals of the restricted state, plus any correction already present
     on the fine level."""
-    fine_int = dt * np.tensordot(fine.table.q, fine_states.f, axes=(1, 0))
+    fine_int = dt * np.tensordot(fine.table.q[:, 1:], fine_states.f,
+                                 axes=(1, 0))
     if fine_tau is not None:
         fine_int = fine_int + fine_tau
-    idx = _time_indices(fine.table.nodes, coarse.table.nodes)
+    idx = time_restriction(fine.table.nodes, coarse.table.nodes)
     restricted_int = np.stack(
         [restrict_space(fine_int[i], fine, coarse) for i in idx])
-    coarse_int = dt * np.tensordot(coarse.table.q, coarse_states.f, axes=(1, 0))
+    coarse_int = dt * np.tensordot(coarse.table.q[:, 1:], coarse_states.f,
+                                   axes=(1, 0))
     return restricted_int - coarse_int
 
 
-def coarse_correction(fine_states: NodeStates, old_restricted: NodeStates,
+def coarse_correction(fine_states: NodeStates, old_coarse_y: np.ndarray,
                       new_coarse: NodeStates, fine: Level,
                       coarse: Level) -> None:
-    """Interpolate the coarse update onto the fine nodes, in place."""
-    delta = new_coarse.y - old_restricted.y
+    """Interpolate the coarse update from the node values old_coarse_y onto
+    the fine nodes, in place."""
+    delta = new_coarse.y - old_coarse_y
     p_t = correction_interpolation(coarse.table.nodes, fine.table.nodes)
     delta_t = np.tensordot(p_t, delta, axes=(1, 0))
     for m in range(fine.table.m + 1):
@@ -151,11 +146,11 @@ class TimeStep:
     def sweep(self, l: int, dt: float) -> int:
         """One sweep of level l from its node-0 value; returns V-cycles."""
         lvl, states = self.levels[l], self.states[l]
-        return sdc_sweep(states, states.y[0], dt, lvl.operator, lvl.mg_cfg,
-                         lvl.policy, tau=self.tau[l])
+        return sdc_sweep(states, dt, lvl.operator, lvl.mg_cfg, lvl.policy,
+                         tau=self.tau[l])
 
     def fine_residual(self, dt: float) -> float:
-        return residual(self.states[0], self.states[0].y[0], dt)
+        return residual(self.states[0], dt)
 
 
 def mlsdc_iteration(ts: TimeStep, dt: float,
@@ -167,19 +162,19 @@ def mlsdc_iteration(ts: TimeStep, dt: float,
     """
     levels, states = ts.levels, ts.states
     lc = len(levels) - 1
-    old_restricted: list[NodeStates | None] = [None] * len(levels)
+    old_coarse_y: list[np.ndarray | None] = [None] * len(levels)
     for l in range(lc):
         restricted = restrict_state(states[l], levels[l], levels[l + 1])
         ts.tau[l + 1] = compute_fas(states[l], restricted, levels[l],
                                     levels[l + 1], dt, fine_tau=ts.tau[l])
-        old_restricted[l + 1] = restricted.copy()
+        old_coarse_y[l + 1] = restricted.y.copy()
         states[l + 1] = restricted
 
     if coarse_y0 is not None:
         states[lc].y[0] = coarse_y0
     cycles = ts.sweep(lc, dt)
     for l in range(lc - 1, -1, -1):
-        coarse_correction(states[l], old_restricted[l + 1], states[l + 1],
+        coarse_correction(states[l], old_coarse_y[l + 1], states[l + 1],
                           levels[l], levels[l + 1])
         cycles += ts.sweep(l, dt)
     return cycles
@@ -200,8 +195,7 @@ def interpolate_up(ts: TimeStep, spread: list[NodeStates],
     """
     levels, states = ts.levels, ts.states
     for l in range(len(levels) - 2, -1, -1):
-        coarse_correction(states[l], spread[l + 1], states[l + 1],
+        coarse_correction(states[l], spread[l + 1].y, states[l + 1],
                           levels[l], levels[l + 1])
     if exact_y0 is not None:
         states[0].y[0] = exact_y0
-        states[0].f[0] = levels[0].operator.apply(exact_y0)

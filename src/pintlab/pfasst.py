@@ -207,9 +207,7 @@ class _BlockEngine:
         coarsest = len(self.levels) - 1
         coarse_y0 = None
         if rank > 0:
-            value = self.receive(rank, 0, k)
-            ts.states[0].y[0] = value
-            ts.states[0].f[0] = self.levels[0].operator.apply(value)
+            ts.states[0].y[0] = self.receive(rank, 0, k)
             coarse_y0 = self.receive(rank, coarsest, k)
         cycles = mlsdc_iteration(ts, self.dt, coarse_y0)
         res = ts.fine_residual(self.dt)
@@ -296,6 +294,7 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
     also serial SDC.
     """
     check_hierarchy(levels)
+    u0 = np.asarray(u0, dtype=np.float64)
     if executor not in _EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}")
     if p < 1 or blocks < 1 or max_iter < 1:

@@ -121,7 +121,16 @@ def uniform_table(m: int) -> QuadratureTable:
     return build_q(uniform_nodes(m))
 
 
-def _match_indices(fine: NodeSet, coarse: NodeSet) -> list[int]:
+# Time transfers are cached per pair of node sets (a hierarchy has one
+# pair per adjacent levels) and returned read-only, since every caller
+# shares the same object.
+TRANSFER_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=TRANSFER_CACHE_SIZE)
+def time_restriction(fine: NodeSet, coarse: NodeSet) -> tuple[int, ...]:
+    """Pointwise selection in time: the index of the fine node at each
+    coarse node.  Raises ValueError if the node sets are not nested."""
     indices = []
     for tc in coarse.nodes:
         try:
@@ -131,24 +140,7 @@ def _match_indices(fine: NodeSet, coarse: NodeSet) -> list[int]:
                 f"coarse node {tc} has no matching fine node; node sets are "
                 "not nested"
             ) from None
-    return indices
-
-
-# Time transfers are cached per pair of node sets (a hierarchy has one
-# pair per adjacent levels) and returned read-only, since every caller
-# shares the same array.
-TRANSFER_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=TRANSFER_CACHE_SIZE)
-def time_restriction(fine: NodeSet, coarse: NodeSet) -> np.ndarray:
-    """Pointwise selection matrix taking fine node values to coarse nodes."""
-    indices = _match_indices(fine, coarse)
-    r = np.zeros((coarse.m + 1, fine.m + 1))
-    for row, idx in enumerate(indices):
-        r[row, idx] = 1.0
-    r.setflags(write=False)
-    return r
+    return tuple(indices)
 
 
 @lru_cache(maxsize=TRANSFER_CACHE_SIZE)
@@ -163,7 +155,7 @@ def correction_interpolation(coarse: NodeSet, fine: NodeSet) -> np.ndarray:
     damped.  Keeping the stencil on the quadrature nodes makes the
     correction asymptotically harmless for stiff modes.
     """
-    _match_indices(fine, coarse)
+    time_restriction(fine, coarse)  # nesting
     basis = _lagrange_basis(list(coarse.nodes[1:]))
     p = np.zeros((fine.m + 1, coarse.m + 1))
     p[0, 0] = 1.0

@@ -1,10 +1,12 @@
 """Single-level spectral deferred corrections with exact or inexact solves.
 
-Node states bundle the solution values Y at all quadrature nodes of one
-time step together with a cache of operator applications F = A*Y.  The
-sweep solves one backward-Euler-type system per sub-step; how those
-systems are solved (direct, fixed V-cycle budget, or to tolerance) is a
-policy decision of the caller.
+Node states bundle the solution values Y at all nodes of one time step
+(node 0 holds the step's initial value) together with a cache of
+operator applications F = A*Y at the quadrature nodes 1..M only: column
+0 of Q is zero, so no integral reads A*Y at node 0.  The sweep solves
+one backward-Euler-type system per sub-step; how those systems are
+solved (direct, fixed V-cycle budget, or to tolerance) is a policy
+decision of the caller.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ COLLOCATION_DOF_LIMIT = 50_000
 
 
 class NodeStates:
-    """Solution values y and cached right-hand sides f at all nodes."""
+    """Solution values y at all M+1 nodes, and cached right-hand sides f at
+    the M quadrature nodes: f[m] = A y[m + 1].  Node 0 carries no
+    quadrature weight, so its right-hand side is never kept."""
 
     __slots__ = ("table", "y", "f")
 
@@ -38,16 +42,15 @@ class NodeStates:
     def spread(cls, op, table: QuadratureTable, y0: np.ndarray) -> "NodeStates":
         """All nodes initialized with the initial value."""
         y = np.repeat(y0[None], table.m + 1, axis=0)
-        f0 = op.apply(y0)
-        f = np.repeat(f0[None], table.m + 1, axis=0)
+        f = np.repeat(op.apply(y0)[None], table.m, axis=0)
         return cls(table, y, f)
 
     def copy(self) -> "NodeStates":
         return NodeStates(self.table, self.y.copy(), self.f.copy())
 
     def refresh(self, op) -> None:
-        for m in range(self.table.m + 1):
-            self.f[m] = op.apply(self.y[m])
+        for m in range(self.table.m):
+            self.f[m] = op.apply(self.y[m + 1])
 
 
 def _dense_operator(op) -> np.ndarray:
@@ -70,7 +73,7 @@ def collocation_solve(op, table: QuadratureTable, y0: np.ndarray,
     rhs = np.tile(y0.ravel(), table.m + 1)
     sol = np.linalg.solve(system, rhs)
     y = sol.reshape((table.m + 1,) + y0.shape)
-    states = NodeStates(table, y, np.empty_like(y))
+    states = NodeStates(table, y, np.empty_like(y[1:]))
     states.refresh(op)
     return states
 
@@ -84,25 +87,23 @@ class SubStepError(RuntimeError):
         self.cause = cause
 
 
-def sdc_sweep(states: NodeStates, y0: np.ndarray, dt: float, op,
-              mg_cfg: MgConfig, policy: SolvePolicy,
-              tau: np.ndarray | None = None) -> int:
-    """One sweep through the sub-steps, in place.  Returns V-cycles used.
+def sdc_sweep(states: NodeStates, dt: float, op, mg_cfg: MgConfig,
+              policy: SolvePolicy, tau: np.ndarray | None = None) -> int:
+    """One sweep through the sub-steps from node 0's value, in place.
+    Returns V-cycles used.
 
     Each implicit system is warm-started with the previous iterate of the
     node being updated.
     """
     table = states.table
-    q = table.q
+    q = table.q[:, 1:]
     # node-to-node integrals of the previous iterate, computed up front
     s = dt * np.tensordot(q[1:] - q[:-1], states.f, axes=(1, 0))
-    states.y[0] = y0
-    states.f[0] = op.apply(y0)
     gammas = table.nodes.gammas
     cycles = 0
     for m in range(table.m):
         dtm = float(gammas[m]) * dt
-        rhs = states.y[m] - dtm * states.f[m + 1] + s[m]
+        rhs = states.y[m] - dtm * states.f[m] + s[m]
         if tau is not None:
             rhs = rhs + (tau[m + 1] - tau[m])
         shifted = multigrid.shifted_operator(op, dtm)
@@ -112,18 +113,15 @@ def sdc_sweep(states: NodeStates, y0: np.ndarray, dt: float, op,
         except MultigridError as exc:
             raise SubStepError(m + 1, exc) from exc
         states.y[m + 1] = result.u
-        states.f[m + 1] = op.apply(result.u)
+        states.f[m] = op.apply(result.u)
         cycles += result.cycles
     return cycles
 
 
-def residual(states: NodeStates, y0: np.ndarray, dt: float,
-             tau: np.ndarray | None = None) -> float:
+def residual(states: NodeStates, dt: float) -> float:
     """Max over nodes of the max-norm of the collocation residual."""
-    r = y0[None] + dt * np.tensordot(states.table.q, states.f, axes=(1, 0)) \
-        - states.y
-    if tau is not None:
-        r = r + tau
+    q = states.table.q[:, 1:]
+    r = states.y[0] + dt * np.tensordot(q, states.f, axes=(1, 0)) - states.y
     return float(np.max(np.abs(r)))
 
 

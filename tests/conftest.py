@@ -4,9 +4,9 @@ import threading
 
 import pytest
 
-from pintlab import heat, hierarchy, multigrid, quadrature, transfers
+from pintlab import heat, multigrid, quadrature, transfers
 
-CACHED_MODULES = (heat, multigrid, transfers, quadrature, hierarchy)
+CACHED_MODULES = (heat, multigrid, transfers, quadrature)
 
 
 @pytest.fixture

@@ -114,7 +114,7 @@ def test_criterion_3_sweep_contraction_matches_damping():
         states = NodeStates.spread(op, table, y0)
         errs = []
         for _ in range(30):
-            sdc_sweep(states, y0, 1.0, op, MgConfig(), Direct())
+            sdc_sweep(states, 1.0, op, MgConfig(), Direct())
             errs.append(float(np.max(np.abs(states.y - exact.y))))
             if errs[-1] < 1e-12:  # stay above the roundoff floor
                 break

@@ -41,7 +41,7 @@ class TestIterationMatrix:
         exact = collocation_solve(op, table, y0, dt)
         states = NodeStates.spread(op, table, y0)
         e0 = (states.y - exact.y)[:, 0]
-        sdc_sweep(states, y0, dt, op, MgConfig(), Direct())
+        sdc_sweep(states, dt, op, MgConfig(), Direct())
         e1 = (states.y - exact.y)[:, 0]
         predicted = iteration_matrix(table, lam * dt) @ e0
         np.testing.assert_allclose(e1, predicted, atol=10 * np.finfo(float).eps)

@@ -208,6 +208,22 @@ class TestMainExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert not (tmp_path / "res.csv").exists()
 
+    @pytest.mark.parametrize("args", [
+        ["strong-3d", "--set", "variant=IMLSDC", "--set", "n_t=25",
+         "--set", "n_x=8"],
+        ["weak-scaling", "--set", "variant=IMLSDC"],
+        ["vcycle-study", "--set", "variant=IMLSDC"],
+    ])
+    def test_pipelined_experiment_without_pfasst_exits_2(self, args, tmp_path,
+                                                         capsys):
+        # these drivers pipeline over p ranks whatever the variant, so a
+        # run with another variant would not be the run its footer records
+        out = tmp_path / "res.csv"
+        assert main(args + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert not out.exists()
+
     def test_invalid_value_of_one_size_exits_2(self, tmp_path, capsys):
         # k=40 fits the parsed n_x=128 but not weak scaling's n=32, which
         # the driver validates when it reaches that size

@@ -69,6 +69,7 @@ class TestRestriction:
         ts = TimeStep.spread([fine, coarse], u0)
         restricted = restrict_state(ts.states[0], fine, coarse)
         assert restricted.y.shape == (2, 7)
+        assert restricted.f.shape == (1, 7)  # the one quadrature node
         np.testing.assert_allclose(restricted.y[0], full_weighting(u0))
 
     def test_injection_policy_respected(self):
@@ -119,7 +120,8 @@ class TestFas:
         ts = TimeStep.spread([fine, coarse], u0)
         restricted = restrict_state(ts.states[0], fine, coarse)
         before = ts.states[0].y.copy()
-        coarse_correction(ts.states[0], restricted, restricted, fine, coarse)
+        coarse_correction(ts.states[0], restricted.y, restricted, fine,
+                          coarse)
         np.testing.assert_allclose(ts.states[0].y, before, atol=1e-14)
 
 
@@ -131,7 +133,7 @@ class TestMlsdcIteration:
         from pintlab.sdc import NodeStates, sdc_sweep
 
         ref = NodeStates.spread(lvl.operator, lvl.table, u0)
-        sdc_sweep(ref, u0, 0.02, lvl.operator, lvl.mg_cfg, lvl.policy)
+        sdc_sweep(ref, 0.02, lvl.operator, lvl.mg_cfg, lvl.policy)
         mlsdc_iteration(ts, 0.02)
         np.testing.assert_array_equal(ts.states[0].y, ref.y)
 

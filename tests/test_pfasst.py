@@ -144,14 +144,13 @@ def reference_mlsdc(levels, u0, t_end, n_steps, tol, max_iter):
         if len(levels) > 1:
             spread_copies = [s.copy() for s in ts.states]
             lc = len(levels) - 1
-            out.vcycles += sdc_sweep(ts.states[lc], ts.states[lc].y[0], dt,
-                                     levels[lc].operator, levels[lc].mg_cfg,
-                                     levels[lc].policy)
+            out.vcycles += sdc_sweep(ts.states[lc], dt, levels[lc].operator,
+                                     levels[lc].mg_cfg, levels[lc].policy)
             interpolate_up(ts, spread_copies, exact_y0=u)
         history = []
         for _ in range(max_iter):
             out.vcycles += mlsdc_iteration(ts, dt)
-            history.append(residual(ts.states[0], ts.states[0].y[0], dt))
+            history.append(residual(ts.states[0], dt))
             if history[-1] <= tol:
                 break
         else:
@@ -272,6 +271,20 @@ class TestConvergenceBookkeeping:
         vals = result.final_values[0]
         assert len(vals) == result.rank_iterations[0][-1]
         np.testing.assert_array_equal(vals[-1], result.u)
+
+
+class TestOperatorApplies:
+    def test_weak_scaling_apply_count(self, monkeypatch):
+        # the ipfasst-1d benchmark configuration; node 0 carries no
+        # quadrature weight, so no apply at node 0 belongs in this count
+        levels, u0, t_end, kwargs = weak_scaling_case(n_x=32, n_t=32, p=32)
+        calls = []
+        apply = HeatOperator.apply
+        monkeypatch.setattr(HeatOperator, "apply",
+                            lambda self, u: calls.append(1) or apply(self, u))
+        res = pfasst_run(levels, u0, t_end, **kwargs)
+        assert res.iterations[-1] == 9
+        assert len(calls) == 37_781
 
 
 class TestTrace:

@@ -21,7 +21,7 @@ class TestNodeStates:
     def test_spread_replicates_initial_value(self):
         op = scalar_operator(-2.0)
         states = NodeStates.spread(op, uniform_table(3), np.array([1.5]))
-        assert states.y.shape == (4, 1)
+        assert states.y.shape == (4, 1) and states.f.shape == (3, 1)
         np.testing.assert_array_equal(states.y, 1.5)
         np.testing.assert_array_equal(states.f, -3.0)
 
@@ -38,6 +38,21 @@ class TestNodeStates:
         states.y[:] = 2.0
         states.refresh(op)
         np.testing.assert_array_equal(states.f, -6.0)
+
+    def test_f_kept_at_quadrature_nodes_only(self):
+        # column 0 of Q is zero, so f[m] is A y[m + 1] for the M nodes
+        # that carry weight, whoever builds or updates the states
+        op = HeatOperator(Grid(1, 16), 1.0, 2)
+        u0 = initial_condition(op.grid, 1)
+        table = uniform_table(3)
+        spread = NodeStates.spread(op, table, u0)
+        exact = collocation_solve(op, table, u0, 0.05)
+        swept = NodeStates.spread(op, table, u0)
+        sdc_sweep(swept, 0.05, op, MgConfig(), Direct())
+        for states in (spread, exact, swept):  # exact is built by refresh
+            assert states.f.shape == (3, 15)
+            np.testing.assert_array_equal(
+                states.f, [op.apply(y) for y in states.y[1:]])
 
 
 class TestCollocationOracle:
@@ -59,7 +74,7 @@ class TestCollocationOracle:
         op = HeatOperator(g, 1.0, 2)
         u0 = initial_condition(g, 1)
         states = collocation_solve(op, uniform_table(3), u0, 0.05)
-        assert residual(states, u0, 0.05) < 1e-10
+        assert residual(states, 0.05) < 1e-10
 
     def test_size_limit(self):
         op = HeatOperator(Grid(3, 32), 1.0, 2)
@@ -75,16 +90,16 @@ class TestSweep:
         y0 = np.array([1.0])
         states = collocation_solve(op, table, y0, 0.5)
         before = states.y.copy()
-        sdc_sweep(states, y0, 0.5, op, MgConfig(), Direct())
+        sdc_sweep(states, 0.5, op, MgConfig(), Direct())
         np.testing.assert_allclose(states.y, before, atol=1e-12)
 
     def test_zero_dt_is_identity(self):
         op = scalar_operator(-5.0)
         y0 = np.array([2.0])
         states = NodeStates.spread(op, uniform_table(2), y0)
-        sdc_sweep(states, y0, 0.0, op, MgConfig(), Direct())
+        sdc_sweep(states, 0.0, op, MgConfig(), Direct())
         np.testing.assert_array_equal(states.y, 2.0)
-        assert residual(states, y0, 0.0) == 0.0
+        assert residual(states, 0.0) == 0.0
 
     def test_contraction_matches_damping_factor(self):
         # after a few warm-up sweeps the geometric-mean error reduction per
@@ -97,7 +112,7 @@ class TestSweep:
         states = NodeStates.spread(op, table, y0)
         errs = []
         for _ in range(12):
-            sdc_sweep(states, y0, dt, op, MgConfig(), Direct())
+            sdc_sweep(states, dt, op, MgConfig(), Direct())
             errs.append(np.max(np.abs(states.y - exact.y)))
         rate = (errs[-1] / errs[2]) ** (1.0 / (len(errs) - 3))
         rho = damping_factor(table, lam * dt)
@@ -105,12 +120,23 @@ class TestSweep:
         # geometric mean is expected to track the spectral radius
         assert rate == pytest.approx(rho, rel=0.10)
 
+    def test_sweep_applies_operator_once_per_substep(self, monkeypatch):
+        op = HeatOperator(Grid(1, 16), 1.0, 2)
+        states = NodeStates.spread(op, uniform_table(3),
+                                   initial_condition(op.grid, 1))
+        calls = []
+        apply = HeatOperator.apply
+        monkeypatch.setattr(HeatOperator, "apply",
+                            lambda self, u: calls.append(1) or apply(self, u))
+        sdc_sweep(states, 0.01, op, MgConfig(), Direct())
+        assert len(calls) == 3
+
     def test_sweep_reports_vcycles(self):
         g = Grid(1, 16)
         op = HeatOperator(g, 1.0, 2)
         u0 = initial_condition(g, 1)
         states = NodeStates.spread(op, uniform_table(2), u0)
-        used = sdc_sweep(states, u0, 0.01, op, MgConfig(), FixedCycles(2))
+        used = sdc_sweep(states, 0.01, op, MgConfig(), FixedCycles(2))
         assert used == 2 * 2  # two sub-steps, two cycles each
 
     def test_substep_error_annotated(self):
@@ -122,7 +148,7 @@ class TestSweep:
         # classified as stalled, so the cycle cap is what trips
         policy = ToTolerance(1e-15, stall=1.0 - 1e-12, max_cycles=1)
         with pytest.raises(SubStepError) as exc:
-            sdc_sweep(states, u0, 0.01, op, MgConfig(), policy)
+            sdc_sweep(states, 0.01, op, MgConfig(), policy)
         assert exc.value.substep >= 1
 
 
@@ -132,17 +158,17 @@ class TestResidual:
         table = uniform_table(2)
         y0 = np.array([1.0])
         states = collocation_solve(op, table, y0, 0.3)
-        assert residual(states, y0, 0.3) < 1e-14
+        assert residual(states, 0.3) < 1e-14
 
     def test_monotone_under_sweeps(self):
         g = Grid(1, 32)
         op = HeatOperator(g, 1.0, 2)
         u0 = initial_condition(g, 1)
         states = NodeStates.spread(op, uniform_table(3), u0)
-        prev = residual(states, u0, 0.02)
+        prev = residual(states, 0.02)
         for _ in range(5):
-            sdc_sweep(states, u0, 0.02, op, MgConfig(), Direct())
-            res = residual(states, u0, 0.02)
+            sdc_sweep(states, 0.02, op, MgConfig(), Direct())
+            res = residual(states, 0.02)
             assert res <= prev
             prev = res
 
@@ -154,6 +180,16 @@ class TestRunSdc:
                          1e-14, 10, MgConfig(), Direct())
         assert result.u[0] == pytest.approx(0.5, abs=1e-12)
         assert result.iterations == [1]
+
+    def test_int_initial_value_runs_in_float64(self):
+        # an integer initial value once truncated every iterate to int64
+        runs = [run_sdc(scalar_operator(-1.0), uniform_table(2), u0, 1.0, 4,
+                        1e-10, 20, MgConfig(), Direct())
+                for u0 in (np.array([1]), np.array([1.0]))]
+        assert runs[0].u.dtype == np.float64
+        np.testing.assert_array_equal(runs[0].u, runs[1].u)
+        assert runs[0].iterations == runs[1].iterations
+        assert runs[0].exhausted_steps == runs[1].exhausted_steps == []
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError):
