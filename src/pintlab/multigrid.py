@@ -3,6 +3,8 @@
 Coarse-level operators are rediscretizations of the fine operator (same
 diffusivity, same shift, same stencil order).  The coarsest level is solved
 directly.  Smoother sweep order is fixed, so solves are bit-reproducible.
+Red-black JOR updates the whole array under a cached, read-only colour mask
+(`np.where`), with no gather or scatter.
 
 Setup and solve are split.  Each grid's sparse matrix is cached, and the
 cached `ShiftedOperator` of each grid and shift owns what is fixed per
@@ -115,14 +117,19 @@ def operator_matrix(op: HeatOperator) -> scipy.sparse.csr_matrix:
 
 
 @lru_cache(maxsize=GRID_CACHE_SIZE)
-def _red_mask(shape: tuple[int, ...]) -> np.ndarray:
-    """Points with even grid coordinate sum (grid indices start at 1)."""
+def _colour_masks(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (red, black) masks: red points have an even grid
+    coordinate sum (grid indices start at 1)."""
     total = np.zeros(shape, dtype=int)
     for axis, npts in enumerate(shape):
         s = [1] * len(shape)
         s[axis] = npts
         total = total + np.arange(1, npts + 1).reshape(s)
-    return total % 2 == 0
+    red = total % 2 == 0
+    black = ~red
+    red.setflags(write=False)
+    black.setflags(write=False)
+    return red, black
 
 
 class ShiftedOperator:
@@ -218,14 +225,10 @@ def smooth(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
                 du = lower.solve(r.ravel())
             u = u + du.reshape(u.shape)
     else:  # jor-rb
-        red = _red_mask(u.shape)
-        black = ~red
-        u = u.copy()
+        red, black = _colour_masks(u.shape)
         for _ in range(count):
-            r = b - op.apply(u)
-            u[red] += cfg.omega * r[red] / diag[red]
-            r = b - op.apply(u)
-            u[black] += cfg.omega * r[black] / diag[black]
+            u = u + np.where(red, cfg.omega * (b - op.apply(u)) / diag, 0.0)
+            u = u + np.where(black, cfg.omega * (b - op.apply(u)) / diag, 0.0)
     return u
 
 

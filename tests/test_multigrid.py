@@ -45,6 +45,22 @@ def check_gauss_seidel_sweep(dim, n, order, sigma):
     np.testing.assert_allclose(out.ravel(), expected, atol=1e-11)
 
 
+def boolean_jor_rb(op, u, b, omega, count):
+    """Red-black JOR as boolean gathers and scatters: the reference for the
+    whole-array update of `smooth`."""
+    # red points have an even coordinate sum, counting from 1 on each axis
+    red = (np.indices(u.shape).sum(axis=0) + u.ndim) % 2 == 0
+    black = ~red
+    diag = op.diagonal()
+    u = u.copy()
+    for _ in range(count):
+        r = b - op.apply(u)
+        u[red] += omega * r[red] / diag[red]
+        r = b - op.apply(u)
+        u[black] += omega * r[black] / diag[black]
+    return u
+
+
 def old_operator_matrix(dim, n, length, nu, order):
     """The operator matrix as built before the 1D matrix moved to the heat
     module: a lil_matrix filled row by row, then Kronecker products."""
@@ -237,6 +253,47 @@ class TestSmoothers:
         op = shifted(3, 32, sigma=1e-3, order=4)
         lu = op.gauss_seidel_factor
         assert lu.L.nnz + lu.U.nnz <= 14 * op.grid.dof
+
+    @pytest.mark.parametrize("count", [1, 2])
+    @pytest.mark.parametrize("omega", [1.0, 2.0 / 3.0])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+    def test_jor_rb_matches_boolean_sweep(self, dim, n, order, omega, count):
+        op = shifted(dim, n, sigma=0.02, order=order)
+        rng = np.random.default_rng(17)
+        u = rng.standard_normal(op.grid.shape)
+        b = rng.standard_normal(op.grid.shape)
+        out = smooth(op, u, b, MgConfig(smoother="jor-rb", omega=omega), count)
+        np.testing.assert_array_equal(out,
+                                      boolean_jor_rb(op, u, b, omega, count))
+
+    def test_colour_masks_cached_and_read_only(self):
+        red, black = multigrid._colour_masks((7, 7))
+        assert multigrid._colour_masks((7, 7))[0] is red
+        np.testing.assert_array_equal(black, ~red)
+        for mask in (red, black):
+            with pytest.raises(ValueError):
+                mask[0, 0] = not mask[0, 0]  # shared by every sweep
+
+    @pytest.mark.parametrize("smoother", ["jacobi", "gauss-seidel", "jor-rb"])
+    def test_leaves_input_unchanged(self, smoother):
+        op = shifted(2, 16, sigma=0.01)
+        rng = np.random.default_rng(8)
+        u = rng.standard_normal(op.grid.shape)
+        before = u.copy()
+        smooth(op, u, rng.standard_normal(u.shape), MgConfig(smoother), 2)
+        np.testing.assert_array_equal(u, before)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_jor_rb_applies_twice_per_sweep(self, count, monkeypatch):
+        calls = []
+        apply = HeatOperator.apply
+        monkeypatch.setattr(HeatOperator, "apply",
+                            lambda self, u: calls.append(1) or apply(self, u))
+        op = shifted(3, 8, sigma=0.01, order=4)
+        smooth(op, op.grid.zeros(), np.ones(op.grid.shape),
+               MgConfig(smoother="jor-rb"), count)
+        assert len(calls) == 2 * count
 
     def test_zero_sweeps_is_identity(self):
         op = shifted()

@@ -29,9 +29,9 @@ def make_levels(n=32, policy=None, dim=1):
     ]
 
 
-def weak_scaling_case(**overrides):
+def preset_case(experiment, **overrides):
     cfg = parse_config(None, {k: str(v) for k, v in overrides.items()},
-                       experiment="weak-scaling", **PRESETS["weak-scaling"])
+                       experiment=experiment, **PRESETS[experiment])
     levels = build_levels(cfg)
     kwargs = dict(p=cfg.p, blocks=cfg.n_t // cfg.p, tol=cfg.tol,
                   max_iter=cfg.max_iter, record_final_values=True)
@@ -47,12 +47,16 @@ PIPELINE_CASES = {
         [[10, 11, 11, 11]]),
     # ranks freeze at different iterations in both blocks
     "weak-scaling-staggered": lambda: (
-        *weak_scaling_case(n_x=64, n_t=8, p=4, tol=1e-12),
+        *preset_case("weak-scaling", n_x=64, n_t=8, p=4, tol=1e-12),
         [[7, 8, 9, 10], [6, 7, 8, 8]]),
     # no rank converges: every rank runs max_iter iterations
     "weak-scaling-max-iter": lambda: (
-        *weak_scaling_case(n_x=32, n_t=16, p=8, max_iter=3),
+        *preset_case("weak-scaling", n_x=32, n_t=16, p=8, max_iter=3),
         [[3] * 8, [3] * 8]),
+    # the only case on the red-black JOR smoother
+    "strong-3d-jor-rb": lambda: (
+        *preset_case("strong-3d", n_x=16, n_t=2, p=2),
+        [[15, 17]]),
 }
 
 
@@ -277,7 +281,8 @@ class TestOperatorApplies:
     def test_weak_scaling_apply_count(self, monkeypatch):
         # the ipfasst-1d benchmark configuration; node 0 carries no
         # quadrature weight, so no apply at node 0 belongs in this count
-        levels, u0, t_end, kwargs = weak_scaling_case(n_x=32, n_t=32, p=32)
+        levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
+                                                n_t=32, p=32)
         calls = []
         apply = HeatOperator.apply
         monkeypatch.setattr(HeatOperator, "apply",
@@ -338,7 +343,7 @@ class TestValidation:
                                               deadline):
         # such a run used to return the predictor's state, with every
         # rank unconverged, zero iterations and an empty trace
-        levels, u0, t_end, kwargs = weak_scaling_case(n_x=32, p=4)
+        levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32, p=4)
         kwargs["max_iter"] = max_iter
         with pytest.raises(ValueError, match="iteration"):
             deadline(pfasst_run, levels, u0, t_end, executor=executor,
@@ -403,7 +408,8 @@ class TestSharedSpread:
 
     @pytest.mark.parametrize("executor", ["serial", "threaded"])
     def test_spread_is_read_only_and_never_shared(self, executor, deadline):
-        levels, u0, t_end, kwargs = weak_scaling_case(n_x=32, n_t=4, p=4)
+        levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
+                                                n_t=4, p=4)
         engine = _BlockEngine(levels, t_end / 4, kwargs["tol"],
                               kwargs["max_iter"],
                               _Exchange(4, len(levels),
