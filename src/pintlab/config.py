@@ -65,15 +65,15 @@ class ExperimentConfig:
         try:
             if kind == "fixed" and int(arg or 2) >= 1:
                 return "fixed", float(int(arg or 2))
-            if kind == "tolerance" and float(arg or 1e-12) > 0:
+            if kind == "tolerance" and 0 < float(arg or 1e-12) < math.inf:
                 return "tolerance", float(arg or 1e-12)
         except ValueError:
             pass
         if kind == "direct" and not arg:
             return "direct", 0.0
         raise ConfigError(
-            f"policy must be 'fixed:V' (V >= 1), 'tolerance:TOL' (TOL > 0) "
-            f"or 'direct', got {self.policy!r}")
+            f"policy must be 'fixed:V' (V >= 1), 'tolerance:TOL' "
+            f"(0 < TOL < inf) or 'direct', got {self.policy!r}")
 
 
 _CONVERTERS = {

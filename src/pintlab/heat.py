@@ -186,23 +186,11 @@ class HeatOperator:
         return total
 
 
-@dataclass(frozen=True)
-class DiagonalOperator:
-    """Right-hand side f(y) = diag * y; the scalar model problem is the
-    single-entry case."""
+def scalar_operator(lam: float) -> HeatOperator:
+    """The scalar model problem y' = lam * y as a one-point heat operator.
 
-    diag: tuple[float, ...]
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (len(self.diag),)
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(self.diag) * u
-
-    def diagonal(self) -> np.ndarray:
-        return np.asarray(self.diag)
-
-
-def scalar_operator(lam: float) -> DiagonalOperator:
-    return DiagonalOperator((lam,))
+    The order-2 Laplacian on the one interior point of Grid(1, 2) is -8
+    exactly, and dividing by 8 is exact, so apply, diagonal and the
+    operator matrix give exactly lam.
+    """
+    return HeatOperator(Grid(1, 2), -lam / 8)

@@ -20,7 +20,7 @@ from .heat import HeatOperator
 from .multigrid import MgConfig, SolvePolicy
 from .quadrature import (QuadratureTable, correction_interpolation,
                          time_restriction)
-from .sdc import NodeStates, residual, sdc_sweep
+from .sdc import NodeStates, sdc_sweep
 from .transfers import full_weighting, inject, interp_cubic, interp_linear
 
 
@@ -149,9 +149,6 @@ class TimeStep:
         return sdc_sweep(states, dt, lvl.operator, lvl.mg_cfg, lvl.policy,
                          tau=self.tau[l])
 
-    def fine_residual(self, dt: float) -> float:
-        return residual(self.states[0], dt)
-
 
 def mlsdc_iteration(ts: TimeStep, dt: float,
                     coarse_y0: np.ndarray | None = None) -> int:
@@ -185,17 +182,13 @@ def burn_in(ts: TimeStep, dt: float) -> int:
     return ts.sweep(len(ts.levels) - 1, dt)
 
 
-def interpolate_up(ts: TimeStep, spread: list[NodeStates],
-                   exact_y0: np.ndarray | None = None) -> None:
+def interpolate_up(ts: TimeStep, spread: list[NodeStates]) -> None:
     """Propagate the burn-in coarse state to the finer levels.
 
     `spread[l]`, only read, is the pre-burn-in state of level l (restricted
-    from the spread fine state).  When `exact_y0` is given, the fine
-    initial value is pinned to it afterwards (rank 0 / serial semantics).
+    from the spread fine state).
     """
     levels, states = ts.levels, ts.states
     for l in range(len(levels) - 2, -1, -1):
         coarse_correction(states[l], spread[l + 1].y, states[l + 1],
                           levels[l], levels[l + 1])
-    if exact_y0 is not None:
-        states[0].y[0] = exact_y0

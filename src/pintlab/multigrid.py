@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .heat import DiagonalOperator, Grid, HeatOperator, laplacian_1d
+from .heat import Grid, HeatOperator, laplacian_1d
 from .transfers import full_weighting, interp_linear
 
 
@@ -59,8 +59,8 @@ class ToTolerance:
     max_cycles: int = 100
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol < np.inf:  # NaN fails every comparison
+            raise ValueError("tolerance must be positive and finite")
         if not 0.0 < self.stall < 1.0:
             raise ValueError("stall factor must be in (0, 1)")
 
@@ -133,7 +133,7 @@ def _colour_masks(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ShiftedOperator:
-    """I - sigma * A for a heat (or diagonal) right-hand-side operator.
+    """I - sigma * A for a heat right-hand-side operator A.
 
     `shifted_operator` keeps one per (operator, sigma); each holds its
     coarse-grid operator and its factors once a solve has asked for them.
@@ -196,8 +196,6 @@ class ShiftedOperator:
         return lu
 
     def solve_direct(self, b: np.ndarray) -> np.ndarray:
-        if isinstance(self.base, DiagonalOperator):
-            return b / self._diag
         lu = self.lu
         with _FACTOR_SOLVE_LOCK:
             return lu.solve(b.ravel()).reshape(b.shape)

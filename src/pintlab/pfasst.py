@@ -27,6 +27,7 @@ import numpy as np
 
 from .hierarchy import (Level, TimeStep, burn_in, check_hierarchy,
                         interpolate_up, mlsdc_iteration)
+from .sdc import residual
 
 
 @dataclass
@@ -137,7 +138,6 @@ class _BlockEngine:
         self.max_iter = max_iter
         self.exchange = exchange
         self.p = p
-        self.u0 = u0
         # every rank starts from the same spread, which stays read-only
         self.spread = TimeStep.spread(levels, u0).states
         for states in self.spread:
@@ -195,8 +195,7 @@ class _BlockEngine:
     def predictor_finalize(self, rank: int) -> None:
         if len(self.levels) == 1:
             return  # nothing was burnt in
-        interpolate_up(self.steps[rank], self.spread,
-                       exact_y0=self.u0 if rank == 0 else None)
+        interpolate_up(self.steps[rank], self.spread)
 
     # ------------------------------------------------------------------
     # main iteration
@@ -210,7 +209,7 @@ class _BlockEngine:
             ts.states[0].y[0] = self.receive(rank, 0, k)
             coarse_y0 = self.receive(rank, coarsest, k)
         cycles = mlsdc_iteration(ts, self.dt, coarse_y0)
-        res = ts.fine_residual(self.dt)
+        res = residual(ts.states[0], self.dt)
         converged = res <= self.tol and self.pred_frozen_at[rank] <= k
         self.send(rank, coarsest, k, ts.states[coarsest].y[-1])
         self.send(rank, 0, k, ts.states[0].y[-1], converged)
@@ -318,11 +317,3 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
             engine.trace, key=lambda r: (r.iteration, r.rank, r.level)))
         result.final_values.append(list(engine.final_values))
     return result
-
-
-def write_trace_csv(rows: list[TraceRow], path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("block,rank,iter,level,residual,vcycles\n")
-        for r in rows:
-            fh.write(f"{r.block},{r.rank},{r.iteration},{r.level},"
-                     f"{r.residual:.16e},{r.vcycles}\n")

@@ -40,9 +40,6 @@ class NodeSet:
         """Sub-step fractions of the full step, gamma_m = t_m - t_{m-1}."""
         return tuple(b - a for a, b in zip(self.nodes, self.nodes[1:]))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([float(t) for t in self.nodes])
-
 
 def uniform_nodes(m: int) -> NodeSet:
     """Equispaced nodes t_i = i/m, i = 0..m."""

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import multigrid
-from .heat import DiagonalOperator, HeatOperator
 from .multigrid import MgConfig, MultigridError, SolvePolicy
 from .quadrature import QuadratureTable
 
@@ -53,14 +52,6 @@ class NodeStates:
             self.f[m] = op.apply(self.y[m + 1])
 
 
-def _dense_operator(op) -> np.ndarray:
-    if isinstance(op, DiagonalOperator):
-        return np.diag(op.diag)
-    if isinstance(op, HeatOperator):
-        return multigrid.operator_matrix(op).toarray()
-    raise TypeError(f"no dense form for operator {op!r}")
-
-
 def collocation_solve(op, table: QuadratureTable, y0: np.ndarray,
                       dt: float) -> NodeStates:
     """Dense solve of the collocation system; the ground-truth oracle."""
@@ -68,7 +59,7 @@ def collocation_solve(op, table: QuadratureTable, y0: np.ndarray,
     if (table.m + 1) * dof > COLLOCATION_DOF_LIMIT:
         raise ValueError(
             f"collocation system too large: {(table.m + 1) * dof} unknowns")
-    a = _dense_operator(op)
+    a = multigrid.operator_matrix(op).toarray()
     system = np.eye((table.m + 1) * dof) - dt * np.kron(table.q, a)
     rhs = np.tile(y0.ravel(), table.m + 1)
     sol = np.linalg.solve(system, rhs)

@@ -59,7 +59,7 @@ def test_criterion_1_quadrature_exactness():
     worst = 0.0
     for m in (1, 2, 4, 8):
         table = uniform_table(m)
-        x = table.nodes.as_array()
+        x = np.array(table.nodes.nodes, dtype=float)
         for degree in range(m):
             err = np.max(np.abs(table.q @ x**degree
                                 - x**(degree + 1) / (degree + 1)))

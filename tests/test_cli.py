@@ -185,6 +185,8 @@ class TestMainExitCodes:
         ["pre_sweeps=-1"],
         ["variant=ISDC", "policy=fixed:0"],
         ["variant=ISDC", "policy=tolerance:0"],
+        ["variant=ISDC", "policy=tolerance:inf"],
+        ["variant=ISDC", "policy=tolerance:1e400"],
         ["k=0"],
         ["k=16"],
         ["nu=inf"],

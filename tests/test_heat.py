@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from pintlab import heat
 from pintlab.heat import (
-    DiagonalOperator,
     Grid,
     HeatOperator,
     discrete_symbol,
@@ -16,6 +15,8 @@ from pintlab.heat import (
     initial_condition,
     scalar_operator,
 )
+from pintlab.multigrid import (Direct, MgConfig, operator_matrix,
+                               shifted_operator, solve)
 
 EPS = np.finfo(float).eps
 
@@ -280,14 +281,31 @@ class TestSymbolsAndSolutions:
         assert np.max(np.abs(u)) <= np.max(np.abs(initial_condition(g, k))) + EPS
 
 
-class TestDiagonalOperator:
+SCALAR_LAMBDAS = [-1e6, -50.0, -2.0, -1e-3, 0.5]
+
+
+class TestScalarOperator:
+    """The scalar model problem is the one-point heat operator."""
+
     def test_scalar_model(self):
         op = scalar_operator(-2.0)
         np.testing.assert_allclose(op.apply(np.array([3.0])), [-6.0])
         np.testing.assert_allclose(op.diagonal(), [-2.0])
-        assert op.shape == (1,)
+        assert op.grid.shape == (1,)
 
-    def test_vector_diag(self):
-        op = DiagonalOperator((1.0, -1.0, 0.5))
-        np.testing.assert_allclose(op.apply(np.array([2.0, 2.0, 2.0])),
-                                   [2.0, -2.0, 1.0])
+    @pytest.mark.parametrize("lam", SCALAR_LAMBDAS)
+    def test_apply_diagonal_and_matrix_are_exactly_lambda(self, lam):
+        op = scalar_operator(lam)
+        for y in (3.0, -0.7, 1e-300):
+            assert op.apply(np.array([y])).tolist() == [lam * y]
+        assert op.diagonal().tolist() == [lam]
+        assert operator_matrix(op).toarray().tolist() == [[lam]]
+
+    @pytest.mark.parametrize("lam", SCALAR_LAMBDAS)
+    @pytest.mark.parametrize("sigma", [0.0, 0.01, 0.25, 1.5])
+    def test_direct_shifted_solve_within_one_ulp(self, lam, sigma):
+        b = np.array([0.3])
+        shifted = shifted_operator(scalar_operator(lam), sigma)
+        u = solve(shifted, b.copy(), b, MgConfig(), Direct()).u
+        exact = b[0] / (1.0 - sigma * lam)
+        assert abs(u[0] - exact) <= np.spacing(abs(exact))

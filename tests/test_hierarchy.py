@@ -142,10 +142,10 @@ class TestMlsdcIteration:
         u0 = initial_condition(levels[0].grid, 1)
         ts = TimeStep.spread(levels, u0)
         dt = 0.02
-        prev = ts.fine_residual(dt)
+        prev = residual(ts.states[0], dt)
         for _ in range(4):
             mlsdc_iteration(ts, dt)
-            res = ts.fine_residual(dt)
+            res = residual(ts.states[0], dt)
             assert res < prev
             prev = res
 

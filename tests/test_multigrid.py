@@ -549,6 +549,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ToTolerance(tol=0.0)
         with pytest.raises(ValueError):
+            ToTolerance(tol=float("nan"))  # would return every warm start
+        with pytest.raises(ValueError):
+            ToTolerance(tol=float("inf"))
+        with pytest.raises(ValueError):
             ToTolerance(stall=1.5)
 
 

@@ -13,7 +13,7 @@ from pintlab.heat import Grid, HeatOperator, initial_condition, scalar_operator
 from pintlab.hierarchy import Level, TimeStep, interpolate_up, mlsdc_iteration
 from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
 from pintlab.pfasst import (_EXECUTORS, PfasstResult, _BlockEngine, _Channel,
-                            _Exchange, pfasst_run, write_trace_csv)
+                            _Exchange, pfasst_run)
 from pintlab.quadrature import uniform_table
 from pintlab.sdc import SubStepError, residual, run_sdc, sdc_sweep
 
@@ -150,7 +150,7 @@ def reference_mlsdc(levels, u0, t_end, n_steps, tol, max_iter):
             lc = len(levels) - 1
             out.vcycles += sdc_sweep(ts.states[lc], dt, levels[lc].operator,
                                      levels[lc].mg_cfg, levels[lc].policy)
-            interpolate_up(ts, spread_copies, exact_y0=u)
+            interpolate_up(ts, spread_copies)
         history = []
         for _ in range(max_iter):
             out.vcycles += mlsdc_iteration(ts, dt)
@@ -292,6 +292,35 @@ class TestOperatorApplies:
         assert len(calls) == 37_781
 
 
+class TestPredictor:
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    @pytest.mark.parametrize("levels", [make_levels, weak_scaling_levels],
+                             ids=["two-level", "three-level"])
+    def test_rank_zero_keeps_its_initial_value(self, levels, executor,
+                                               deadline, monkeypatch):
+        # burn-in never writes rank 0's coarsest node 0, so the node-0
+        # correction that interpolates the predictor up is exactly zero
+        levels = levels()
+        u0 = initial_condition(levels[0].grid, 1)
+        u0[::3] = -0.0
+        seen = []
+        finalize = _BlockEngine.predictor_finalize
+
+        def recording_finalize(engine, rank):
+            finalize(engine, rank)
+            if rank == 0:
+                seen.append(engine.steps[0].states[0].y[0].copy())
+
+        monkeypatch.setattr(_BlockEngine, "predictor_finalize",
+                            recording_finalize)
+        deadline(pfasst_run, levels, u0, 0.25, p=4, tol=1e-10, max_iter=2,
+                 executor=executor)
+        assert len(seen) == 1
+        # equal values are equal bits, except that adding the +0.0
+        # correction turns a -0.0 into +0.0, as every later correction does
+        np.testing.assert_array_equal(seen[0], u0)
+
+
 class TestTrace:
     def test_trace_ordering_and_fields(self):
         levels = make_levels()
@@ -300,16 +329,6 @@ class TestTrace:
         keys = [(r.iteration, r.rank) for r in result.trace]
         assert keys == sorted(keys)
         assert all(r.block == 0 and r.level == 0 for r in result.trace)
-
-    def test_write_trace_csv(self, tmp_path):
-        levels = make_levels()
-        u0 = initial_condition(levels[0].grid, 1)
-        result = pfasst_run(levels, u0, 0.25, p=2, tol=1e-10, max_iter=15)
-        path = tmp_path / "trace.csv"
-        write_trace_csv(result.trace, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "block,rank,iter,level,residual,vcycles"
-        assert len(lines) == len(result.trace) + 1
 
 
 class TestValidation:

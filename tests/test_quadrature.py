@@ -13,13 +13,14 @@ EPS = np.finfo(float).eps
 
 class TestUniformNodes:
     def test_m1_endpoints(self):
-        assert uniform_nodes(1).as_array().tolist() == [0.0, 1.0]
+        assert np.array(uniform_nodes(1).nodes, dtype=float).tolist() == [0.0, 1.0]
 
     def test_m2(self):
-        assert uniform_nodes(2).as_array().tolist() == [0.0, 0.5, 1.0]
+        assert np.array(uniform_nodes(2).nodes, dtype=float).tolist() == [0.0, 0.5, 1.0]
 
     def test_m4(self):
-        assert uniform_nodes(4).as_array().tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert np.array(uniform_nodes(4).nodes, dtype=float).tolist() == [
+            0.0, 0.25, 0.5, 0.75, 1.0]
 
     def test_m0_rejected(self):
         with pytest.raises(ValueError):
@@ -27,7 +28,7 @@ class TestUniformNodes:
 
     @given(st.integers(min_value=1, max_value=12))
     def test_strictly_increasing_unit_interval(self, m):
-        t = uniform_nodes(m).as_array()
+        t = np.array(uniform_nodes(m).nodes, dtype=float)
         assert t[0] == 0.0 and t[-1] == 1.0
         assert np.all(np.diff(t) > 0)
 
@@ -59,13 +60,14 @@ class TestBuildQ:
     def test_constant_integrates_to_nodes(self, m):
         table = uniform_table(m)
         np.testing.assert_allclose(table.q @ np.ones(m + 1),
-                                   table.nodes.as_array(), atol=100 * EPS * m**2)
+                                   np.array(table.nodes.nodes, dtype=float),
+                                   atol=100 * EPS * m**2)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 8])
     def test_polynomial_exactness(self, m):
         """Row m integrates monomials t^j, j <= M-1, exactly."""
         table = uniform_table(m)
-        t = table.nodes.as_array()
+        t = np.array(table.nodes.nodes, dtype=float)
         for j in range(m):
             approx = table.q @ t**j
             exact = t**(j + 1) / (j + 1)
@@ -74,7 +76,7 @@ class TestBuildQ:
     @pytest.mark.parametrize("m", [1, 2, 4, 8])
     def test_qi_gamma_pattern(self, m):
         table = uniform_table(m)
-        gamma = np.diff(table.nodes.as_array())
+        gamma = np.diff(np.array(table.nodes.nodes, dtype=float))
         for row in range(m + 1):
             for col in range(m + 1):
                 want = gamma[col - 1] if 1 <= col <= row else 0.0
@@ -83,7 +85,8 @@ class TestBuildQ:
     @pytest.mark.parametrize("m", [1, 2, 4, 8])
     def test_qi_row_sums_are_nodes(self, m):
         table = uniform_table(m)
-        np.testing.assert_allclose(table.q_sub.sum(axis=1), table.nodes.as_array(),
+        np.testing.assert_allclose(table.q_sub.sum(axis=1),
+                                   np.array(table.nodes.nodes, dtype=float),
                                    atol=100 * EPS)
 
 
@@ -133,7 +136,7 @@ class TestCorrectionInterpolation:
         coarse, fine = uniform_nodes(2), uniform_nodes(4)
         p = correction_interpolation(coarse, fine)
         for deg in range(2):
-            vals_c = coarse.as_array()[1:] ** deg
-            vals_f = fine.as_array()[1:] ** deg
+            vals_c = np.array(coarse.nodes, dtype=float)[1:] ** deg
+            vals_f = np.array(fine.nodes, dtype=float)[1:] ** deg
             np.testing.assert_allclose((p @ np.concatenate([[0], vals_c]))[1:],
                                        vals_f, atol=1e-13)
