@@ -21,7 +21,7 @@ multigrid module builds its sparse matrices from the same 1D matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -44,7 +44,7 @@ class Grid:
     def dx(self) -> float:
         return self.length / self.n
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return (self.n - 1,) * self.dim
 
@@ -161,15 +161,18 @@ class HeatOperator:
         if self.order not in (2, 4):
             raise ValueError(f"stencil order must be 2 or 4, got {self.order}")
 
+    @cached_property
     def _factor(self) -> np.ndarray:
+        """The shared read-only D, looked up once per operator."""
         g = self.grid
         return _axis_factor(g.n, g.length, self.nu, self.order)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The Kronecker sum of D = nu * laplacian_1d, summed x, y, z."""
-        if u.shape != self.grid.shape:
-            raise ValueError(f"expected shape {self.grid.shape}, got {u.shape}")
-        d = self._factor()
+        shape = self.grid.shape
+        if u.shape != shape:
+            raise ValueError(f"expected shape {shape}, got {u.shape}")
+        d = self._factor
         out = along_axis(d, u, u.ndim - 1)
         for axis in range(u.ndim - 2, -1, -1):
             out += along_axis(d, u, axis)
@@ -177,7 +180,7 @@ class HeatOperator:
 
     def diagonal(self) -> np.ndarray:
         """Diagonal of the operator as a full interior array."""
-        d1 = np.diag(self._factor())
+        d1 = np.diag(self._factor)
         total = np.zeros(self.grid.shape)
         for axis in range(self.grid.dim):
             shape = [1] * self.grid.dim

@@ -19,7 +19,7 @@ import numpy as np
 from .heat import HeatOperator
 from .multigrid import MgConfig, SolvePolicy
 from .quadrature import (QuadratureTable, correction_interpolation,
-                         time_restriction)
+                         node_dot, time_restriction)
 from .sdc import NodeStates, sdc_sweep
 from .transfers import full_weighting, inject, interp_cubic, interp_linear
 
@@ -96,15 +96,13 @@ def compute_fas(fine_states: NodeStates, coarse_states: NodeStates,
     """FAS correction: restricted fine node integrals minus coarse node
     integrals of the restricted state, plus any correction already present
     on the fine level."""
-    fine_int = dt * np.tensordot(fine.table.q[:, 1:], fine_states.f,
-                                 axes=(1, 0))
+    fine_int = dt * node_dot(fine.table.weights, fine_states.f)
     if fine_tau is not None:
         fine_int = fine_int + fine_tau
     idx = time_restriction(fine.table.nodes, coarse.table.nodes)
     restricted_int = np.stack(
         [restrict_space(fine_int[i], fine, coarse) for i in idx])
-    coarse_int = dt * np.tensordot(coarse.table.q[:, 1:], coarse_states.f,
-                                   axes=(1, 0))
+    coarse_int = dt * node_dot(coarse.table.weights, coarse_states.f)
     return restricted_int - coarse_int
 
 
@@ -115,7 +113,7 @@ def coarse_correction(fine_states: NodeStates, old_coarse_y: np.ndarray,
     the fine nodes, in place."""
     delta = new_coarse.y - old_coarse_y
     p_t = correction_interpolation(coarse.table.nodes, fine.table.nodes)
-    delta_t = np.tensordot(p_t, delta, axes=(1, 0))
+    delta_t = node_dot(p_t, delta)
     for m in range(fine.table.m + 1):
         fine_states.y[m] = fine_states.y[m] + _space_interp(
             delta_t[m], fine, coarse)

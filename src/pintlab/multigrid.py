@@ -8,10 +8,13 @@ Red-black JOR updates the whole array under a cached, read-only colour mask
 
 Setup and solve are split.  Each grid's sparse matrix is cached, and the
 cached `ShiftedOperator` of each grid and shift owns what is fixed per
-shift: its coarse-grid operator and its SuperLU factors, one direct (for
-`Direct` and the coarsest V-cycle grid) and one Gauss-Seidel triangle.
-All are built on first use, so a V-cycle only applies operators and runs
-prefactored solves.
+shift: its coarse-grid operator, its SuperLU direct factor (for `Direct`
+and the coarsest V-cycle grid) and its Gauss-Seidel triangle.  On a 1D
+grid the triangle is a read-only band of order/2 + 1 diagonals, and a
+sweep is one BLAS banded solve (dtbsv); in 2D and 3D, where the band
+would be (n-1)^(dim-1) wide, it is a SuperLU factor that stores only the
+triangle's nonzeros.  All are built on first use, so a V-cycle only
+applies operators and runs prefactored solves.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from typing import Union
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
+# loaded by scipy.sparse.linalg already, so this imports no further module
+from scipy.linalg.blas import dtbsv
 
 from .heat import Grid, HeatOperator, laplacian_1d
 from .transfers import full_weighting, interp_linear
@@ -39,6 +44,8 @@ class MgConfig:
     def __post_init__(self):
         if self.smoother not in ("jacobi", "gauss-seidel", "jor-rb"):
             raise ValueError(f"unknown smoother {self.smoother!r}")
+        if not 0.0 < self.omega < np.inf:  # NaN fails every comparison
+            raise ValueError("relaxation weight must be positive and finite")
         if self.pre_sweeps < 0 or self.post_sweeps < 0:
             raise ValueError("sweep counts must be non-negative")
 
@@ -74,9 +81,11 @@ SolvePolicy = Union[FixedCycles, ToTolerance, Direct]
 
 # SuperLU's triangular solves are not safe to call concurrently in this
 # stack; serialize them.  Each runs on a cached factor in time proportional
-# to its nonzeros (a Gauss-Seidel sweep's forward substitution, a tiny
-# coarsest-level system, or a direct solve), so contention under the
-# threaded time-parallel executor stays small.
+# to its nonzeros (a 2D or 3D Gauss-Seidel sweep's forward substitution, a
+# tiny coarsest-level system, or a direct solve), so contention under the
+# threaded time-parallel executor stays small.  The 1D Gauss-Seidel sweep
+# takes no lock: dtbsv only reads the shared band and solves in its own
+# copy of the right-hand side.
 _FACTOR_SOLVE_LOCK = threading.Lock()
 
 # Bounds of the module-level caches.  A solve uses one entry per grid of
@@ -147,6 +156,7 @@ class ShiftedOperator:
         self._diag = 1.0 - sigma * base.diagonal()
         self._diag.setflags(write=False)
         self._coarse = None
+        self.coarsest = base.grid.n <= COARSEST_N  # V-cycles solve directly
 
     @property
     def grid(self) -> Grid:
@@ -195,6 +205,26 @@ class ShiftedOperator:
                                "its solve would not be a forward substitution")
         return lu
 
+    @cached_property
+    def gauss_seidel_band(self) -> np.ndarray:
+        """Read-only lower triangle of I - sigma*A in the banded layout
+        that dtbsv reads in place: band[i, j] = (I - sigma*A)[j + i, j],
+        in Fortran order.
+
+        Its rows are the triangle's diagonals: order/2 + 1 on a 1D grid,
+        but (n-1)^(dim-1) * order/2 + 1 in 2D and 3D, so only 1D sweeps
+        use it.
+        """
+        mat = self._matrix()
+        lower = scipy.sparse.tril(mat, format="coo")
+        band = np.zeros((np.max(lower.row - lower.col) + 1, mat.shape[0]),
+                        order="F")
+        for i in range(band.shape[0]):
+            diagonal = mat.diagonal(-i)
+            band[i, :diagonal.size] = diagonal
+        band.setflags(write=False)
+        return band
+
     def solve_direct(self, b: np.ndarray) -> np.ndarray:
         lu = self.lu
         with _FACTOR_SOLVE_LOCK:
@@ -215,6 +245,11 @@ def smooth(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
     if cfg.smoother == "jacobi":
         for _ in range(count):
             u = u + cfg.omega * (b - op.apply(u)) / diag
+    elif cfg.smoother == "gauss-seidel" and u.ndim == 1:
+        band = op.gauss_seidel_band
+        k = band.shape[0] - 1
+        for _ in range(count):
+            u = u + dtbsv(k, band, b - op.apply(u), lower=1)
     elif cfg.smoother == "gauss-seidel":
         lower = op.gauss_seidel_factor
         for _ in range(count):
@@ -232,13 +267,11 @@ def smooth(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
 
 def v_cycle(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
             cfg: MgConfig) -> np.ndarray:
-    grid = op.grid
-    if grid.n <= COARSEST_N:
+    if op.coarsest:
         return op.solve_direct(b)
     u = smooth(op, u, b, cfg, cfg.pre_sweeps)
-    r = b - op.apply(u)
-    coarse_op = op.coarsen()
-    ec = v_cycle(coarse_op, coarse_op.grid.zeros(), full_weighting(r), cfg)
+    rc = full_weighting(b - op.apply(u))
+    ec = v_cycle(op.coarsen(), np.zeros(rc.shape), rc, cfg)
     u = u + interp_linear(ec)
     return smooth(op, u, b, cfg, cfg.post_sweeps)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,6 +39,26 @@ class NodeSet:
     def gammas(self) -> tuple[Fraction, ...]:
         """Sub-step fractions of the full step, gamma_m = t_m - t_{m-1}."""
         return tuple(b - a for a, b in zip(self.nodes, self.nodes[1:]))
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.nodes)
+
+    def __hash__(self) -> int:
+        # the time-transfer caches hash their node sets on every lookup;
+        # hashing the Fractions each time dominated that lookup
+        return self._hash
+
+
+def node_dot(mat: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """`mat` applied along the node axis (axis 0) of `values`.
+
+    The same product, bit for bit, as np.tensordot(mat, values, axes=(1, 0)),
+    which flattens `values` to this 2D view and calls np.dot, but without
+    tensordot's per-call axis bookkeeping.
+    """
+    return np.dot(mat, values.reshape(values.shape[0], -1)).reshape(
+        mat.shape[:1] + values.shape[1:])
 
 
 def uniform_nodes(m: int) -> NodeSet:
@@ -95,6 +115,27 @@ class QuadratureTable:
     @property
     def m(self) -> int:
         return self.nodes.m
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Read-only view of Q without its zero column 0: the weights on
+        the quadrature nodes."""
+        w = self.q[:, 1:]
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def step_weights(self) -> np.ndarray:
+        """Read-only; row m holds the weights of the integral over
+        [t_m, t_{m+1}]."""
+        w = self.weights[1:] - self.weights[:-1]
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def gammas(self) -> tuple[float, ...]:
+        """The sub-step fractions gamma_1..gamma_M as floats."""
+        return tuple(float(g) for g in self.nodes.gammas)
 
 
 def build_q(nodes: NodeSet) -> QuadratureTable:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import multigrid
 from .multigrid import MgConfig, MultigridError, SolvePolicy
-from .quadrature import QuadratureTable
+from .quadrature import QuadratureTable, node_dot
 
 if TYPE_CHECKING:
     from .pfasst import PfasstResult
@@ -86,14 +86,11 @@ def sdc_sweep(states: NodeStates, dt: float, op, mg_cfg: MgConfig,
     Each implicit system is warm-started with the previous iterate of the
     node being updated.
     """
-    table = states.table
-    q = table.q[:, 1:]
     # node-to-node integrals of the previous iterate, computed up front
-    s = dt * np.tensordot(q[1:] - q[:-1], states.f, axes=(1, 0))
-    gammas = table.nodes.gammas
+    s = dt * node_dot(states.table.step_weights, states.f)
     cycles = 0
-    for m in range(table.m):
-        dtm = float(gammas[m]) * dt
+    for m, gamma in enumerate(states.table.gammas):
+        dtm = gamma * dt
         rhs = states.y[m] - dtm * states.f[m] + s[m]
         if tau is not None:
             rhs = rhs + (tau[m + 1] - tau[m])
@@ -111,8 +108,7 @@ def sdc_sweep(states: NodeStates, dt: float, op, mg_cfg: MgConfig,
 
 def residual(states: NodeStates, dt: float) -> float:
     """Max over nodes of the max-norm of the collocation residual."""
-    q = states.table.q[:, 1:]
-    r = states.y[0] + dt * np.tensordot(q, states.f, axes=(1, 0)) - states.y
+    r = states.y[0] + dt * node_dot(states.table.weights, states.f) - states.y
     return float(np.max(np.abs(r)))
 
 

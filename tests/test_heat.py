@@ -205,8 +205,8 @@ class TestStencils:
         info = heat._axis_factor.cache_info()
         assert info.maxsize == heat.FACTOR_CACHE_SIZE
         assert info.currsize == heat.FACTOR_CACHE_SIZE
-        factor = ops[-1]._factor()
-        assert factor is ops[-1]._factor()
+        factor = ops[-1]._factor
+        assert factor is ops[-1]._factor
         assert factor.shape == (7, 7)
         with pytest.raises(ValueError):
             factor[0, 0] = 1.0

@@ -1,5 +1,9 @@
 """Tests for the shifted-operator V-cycle and solve policies."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -254,6 +258,82 @@ class TestSmoothers:
         lu = op.gauss_seidel_factor
         assert lu.L.nnz + lu.U.nnz <= 14 * op.grid.dof
 
+    @pytest.mark.parametrize("sigma", [1e-6, 1e-2, 1.0, 1e3])
+    @pytest.mark.parametrize("n", [2, 4, 8, 32, 128, 1024])
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_1d_banded_sweep_matches_dense_lower_solve(self, order, n, sigma):
+        """A 1D sweep (one banded BLAS solve) against the dense
+        u + solve(tril(a), b - a u), within 4 N eps max(|u|, |du|) in the
+        max norm, N = n - 1 unknowns.
+
+        The bound is fixed from the rounding analysis, not fitted: both
+        sides form the residual to a few ulps and solve a triangle by
+        substitution, whose error grows at most linearly in N; the
+        triangle of I - sigma*A is diagonally dominant (by a factor of 2
+        at order 2, 30/17 at order 4), so no condition number enters.
+        """
+        op = shifted(1, n, sigma=sigma, order=order)
+        a = np.eye(op.grid.dof) - sigma * operator_matrix(op.base).toarray()
+        rng = np.random.default_rng(n)
+        u = rng.standard_normal(op.grid.dof)
+        b = rng.standard_normal(op.grid.dof)
+        du = np.linalg.solve(np.tril(a), b - a @ u)
+        out = smooth(op, u, b, MgConfig(smoother="gauss-seidel"), 1)
+        scale = max(np.max(np.abs(u)), np.max(np.abs(du)))
+        assert np.max(np.abs(out - (u + du))) <= (
+            4 * op.grid.dof * EPS * scale)
+
+    @pytest.mark.parametrize("order", [2, 4])
+    def test_gauss_seidel_band_cached_and_read_only(self, order):
+        op = shifted(1, 32, sigma=0.05, order=order)
+        band = op.gauss_seidel_band
+        assert band is op.gauss_seidel_band
+        assert band.shape == (order // 2 + 1, 31)
+        assert band.flags.f_contiguous  # dtbsv reads it without a copy
+        a = np.eye(31) - 0.05 * operator_matrix(op.base).toarray()
+        for i in range(band.shape[0]):
+            np.testing.assert_array_equal(band[i, :31 - i], np.diag(a, -i))
+        with pytest.raises(ValueError):
+            band[0, 0] = 0.0  # shared by every sweep and thread
+
+    def test_shared_1d_operator_sweeps_from_threads(self):
+        """Eight threads sweep on one shared 1D operator, which the 1D
+        path does without a lock; each sweep must equal the serial one
+        bit for bit.  The threads race on the band's first build too."""
+        op = ShiftedOperator(HeatOperator(Grid(1, 64), order=4), 0.01)
+        serial_op = ShiftedOperator(HeatOperator(Grid(1, 64), order=4), 0.01)
+        cfg = MgConfig(smoother="gauss-seidel")
+        rng = np.random.default_rng(21)
+        cases = [(rng.standard_normal(63), rng.standard_normal(63))
+                 for _ in range(8)]
+        expected = [smooth(serial_op, u, b, cfg, 2).tobytes()
+                    for u, b in cases]
+        sweeps = [0] * len(cases)
+        mismatches = []
+        stop = time.monotonic() + 1.0
+
+        def work(i):
+            u, b = cases[i]
+            while sweeps[i] == 0 or time.monotonic() < stop:
+                if smooth(op, u, b, cfg, 2).tobytes() != expected[i]:
+                    mismatches.append(i)
+                sweeps[i] += 1
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True)
+                   for i in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not mismatches
+        assert min(sweeps) > 0
+
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("omega", [1.0, 2.0 / 3.0])
     @pytest.mark.parametrize("order", [2, 4])
@@ -400,6 +480,20 @@ class TestFactorOwnership:
         self.run_solves(fresh)
         assert len(splu_calls) == 8
 
+    def test_1d_gauss_seidel_builds_only_the_coarsest_direct_factor(
+            self, splu_calls):
+        op = shifted_operator(HeatOperator(Grid(1, 32), order=4), 0.01)
+        b = np.ones(op.grid.shape)
+        solve(op, np.zeros_like(b), b, MgConfig(smoother="gauss-seidel"),
+              FixedCycles(2))
+        assert splu_calls == [(3, 3)]  # the coarsest grid, n=4
+
+    def test_2d_sweep_builds_its_triangle(self, splu_calls):
+        op = shifted_operator(HeatOperator(Grid(2, 8)), 0.01)
+        smooth(op, op.grid.zeros(), np.ones(op.grid.shape),
+               MgConfig(smoother="gauss-seidel"), 1)
+        assert splu_calls == [(49, 49)]
+
     def test_direct_and_coarsest_grid_share_one_factor(self, splu_calls):
         op = shifted_operator(HeatOperator(Grid(1, 4)), 0.3)
         b = np.array([1.0, -2.0, 0.5])
@@ -542,6 +636,13 @@ class TestConfigValidation:
     def test_bad_sweeps(self):
         with pytest.raises(ValueError):
             MgConfig(pre_sweeps=-1)
+
+    @pytest.mark.parametrize("omega", [float("nan"), 0.0, -1.0, float("inf")])
+    @pytest.mark.parametrize("smoother", ["jacobi", "gauss-seidel", "jor-rb"])
+    def test_bad_omega(self, smoother, omega):
+        # a NaN weight used to return a NaN state with status "fixed"
+        with pytest.raises(ValueError):
+            MgConfig(smoother, omega)
 
     def test_bad_policy_values(self):
         with pytest.raises(ValueError):

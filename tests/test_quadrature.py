@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pintlab.quadrature import (build_q, correction_interpolation,
-                                time_restriction, uniform_nodes,
+                                node_dot, time_restriction, uniform_nodes,
                                 uniform_table)
 
 EPS = np.finfo(float).eps
@@ -140,3 +140,54 @@ class TestCorrectionInterpolation:
             vals_f = np.array(fine.nodes, dtype=float)[1:] ** deg
             np.testing.assert_allclose((p @ np.concatenate([[0], vals_c]))[1:],
                                        vals_f, atol=1e-13)
+
+
+class TestTableCaches:
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_cached_weights_and_gammas(self, m):
+        table = uniform_table(m)
+        q = table.q[:, 1:]
+        np.testing.assert_array_equal(table.weights, q)
+        np.testing.assert_array_equal(table.step_weights, q[1:] - q[:-1])
+        assert table.gammas == tuple(float(g) for g in table.nodes.gammas)
+        for cached in (table.weights, table.step_weights):
+            with pytest.raises(ValueError):
+                cached[0, 0] = 1.0  # shared by every sweep
+
+    def test_node_set_hash_is_that_of_its_nodes(self):
+        nodes = uniform_nodes(4)
+        assert hash(nodes) == hash(nodes.nodes) == hash(uniform_nodes(4))
+
+
+STATE_SHAPES = [(1,), (31,), (15, 15), (7, 7, 7)]
+
+
+def assert_same_bits(new, ref):
+    assert new.shape == ref.shape and new.dtype == ref.dtype
+    assert new.tobytes() == ref.tobytes()
+
+
+class TestNodeDot:
+    """node_dot against np.tensordot(mat, values, axes=(1, 0)), the product
+    it replaced in the sweep, the residual and the level transfers:
+    equal bit for bit."""
+
+    @pytest.mark.parametrize("shape", STATE_SHAPES)
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_integration_weights(self, m, shape):
+        table = uniform_table(m)
+        rng = np.random.default_rng(m)
+        f = rng.standard_normal((m,) + shape)
+        for mat in (table.weights, table.step_weights):
+            out = node_dot(mat, f)
+            assert out.shape == (mat.shape[0],) + shape
+            assert_same_bits(out, np.tensordot(mat, f, axes=(1, 0)))
+
+    @pytest.mark.parametrize("shape", STATE_SHAPES)
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_correction_interpolation(self, m, shape):
+        fine = uniform_nodes(2 * m)
+        p_t = correction_interpolation(uniform_nodes(m), fine)
+        delta = np.random.default_rng(m).standard_normal((m + 1,) + shape)
+        assert_same_bits(node_dot(p_t, delta),
+                         np.tensordot(p_t, delta, axes=(1, 0)))

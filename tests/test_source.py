@@ -1,6 +1,10 @@
 """Checks on the package source itself."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pintlab
@@ -34,3 +38,26 @@ def test_every_definition_is_used_in_the_package():
     unused = {name for name in defined - used
               if not (name.startswith("__") and name.endswith("__"))}
     assert unused == set(NO_CALLER_IN_PACKAGE)
+
+
+def _modules_after(statement: str) -> set[str]:
+    """Names in sys.modules after `statement` in a fresh interpreter that
+    imports pintlab from this checkout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SOURCE.parent), os.environ.get("PYTHONPATH")])))
+    code = f"{statement}; import json, sys; print(json.dumps([*sys.modules]))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120, env=env)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_no_further_dependency():
+    """`import pintlab.cli` (the benchmark's set-up) loads only the
+    standard library, NumPy, pintlab, and what `import scipy.sparse.linalg`
+    loads by itself: an import beyond these would grow every start-up."""
+    allowed = _modules_after("import scipy.sparse.linalg")
+    extra = {name for name in _modules_after("import pintlab.cli")
+             if name not in allowed
+             and name.partition(".")[0] not in sys.stdlib_module_names
+             and name.partition(".")[0] not in ("numpy", "pintlab")}
+    assert not extra
