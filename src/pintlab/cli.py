@@ -27,23 +27,13 @@ from .config import (ConfigError, ExperimentConfig, parse_config,
                      resolved_lines, validate)
 from .heat import Grid, HeatOperator, exact_ode, exact_pde, initial_condition
 from .hierarchy import Level
-from .multigrid import (Direct, FixedCycles, MgConfig, MultigridError,
-                        ToTolerance)
+from .multigrid import Direct, MgConfig, MultigridError
 from .pfasst import pfasst_run
 from .quadrature import uniform_table
 from .sdc import SubStepError, run_sdc
 
 OK = "ok"
 NO_CONVERGENCE = "max-iter"
-
-
-def _policy(cfg: ExperimentConfig):
-    kind, arg = cfg.policy_kind()
-    if kind == "direct":
-        return Direct()
-    if kind == "fixed":
-        return FixedCycles(int(arg))
-    return ToTolerance(tol=arg)
 
 
 def _mg_config(cfg: ExperimentConfig) -> MgConfig:
@@ -54,7 +44,7 @@ def _mg_config(cfg: ExperimentConfig) -> MgConfig:
 def build_levels(cfg: ExperimentConfig) -> list[Level]:
     """Level hierarchy with factor-2 spatial coarsening where possible."""
     mg = _mg_config(cfg)
-    policy = _policy(cfg)
+    policy = cfg.solve_policy()
     grid = Grid(cfg.dim, cfg.n_x, cfg.length)
     levels = []
     for i in range(cfg.levels):

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .multigrid import Direct, FixedCycles, SolvePolicy, ToTolerance
+
 EXPERIMENTS = ("damping", "order-study", "vcycle-study", "weak-scaling",
                "strong-3d", "single-run")
 VARIANTS = ("SDC", "ISDC", "MLSDC", "IMLSDC", "PFASST", "IPFASST")
@@ -22,10 +24,6 @@ EXECUTORS = ("serial", "threaded")
 
 class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or cross-field violations."""
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(","))
 
 
 @dataclass(frozen=True)
@@ -59,32 +57,28 @@ class ExperimentConfig:
     # output
     out: str = ""
 
-    def policy_kind(self) -> tuple[str, float]:
-        """Split the policy string into (kind, parameter)."""
+    def solve_policy(self) -> SolvePolicy:
+        """The multigrid policy that the policy string names; fixed takes
+        2 V-cycles and tolerance 1e-12 unless given."""
         kind, _, arg = self.policy.partition(":")
         try:
-            if kind == "fixed" and int(arg or 2) >= 1:
-                return "fixed", float(int(arg or 2))
-            if kind == "tolerance" and 0 < float(arg or 1e-12) < math.inf:
-                return "tolerance", float(arg or 1e-12)
-        except ValueError:
+            if kind == "fixed":
+                return FixedCycles(int(arg or 2))
+            if kind == "tolerance":
+                return ToTolerance(float(arg or 1e-12))
+        except ValueError:  # unparsable, or out of the policy's range
             pass
         if kind == "direct" and not arg:
-            return "direct", 0.0
+            return Direct()
         raise ConfigError(
             f"policy must be 'fixed:V' (V >= 1), 'tolerance:TOL' "
             f"(0 < TOL < inf) or 'direct', got {self.policy!r}")
 
 
-_CONVERTERS = {
-    "experiment": str, "dim": int, "n_x": int, "n_t": int, "k": int,
-    "nu": float, "length": float, "t_end": float, "variant": str,
-    "levels": int, "nodes": _parse_int_list, "orders": _parse_int_list,
-    "policy": str, "smoother": str, "omega": float, "pre_sweeps": int,
-    "post_sweeps": int, "interp_order": int, "restrict": str, "tol": float,
-    "max_iter": int, "p": int, "executor": str, "out": str,
-}
-assert set(_CONVERTERS) == {f.name for f in fields(ExperimentConfig)}
+# reads a config value from text, by its field's annotation
+_FROM_TEXT = {"str": str, "int": int, "float": float,
+              "tuple[int, ...]": lambda text: tuple(map(int, text.split(",")))}
+_FIELDS = {f.name: _FROM_TEXT[f.type] for f in fields(ExperimentConfig)}
 
 
 def read_key_values(path: str | Path) -> dict[str, str]:
@@ -159,10 +153,10 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                         f"[1, n_x - 1 = {cfg.n_x - 1}]")
 
     try:
-        kind, _ = cfg.policy_kind()
+        policy = cfg.solve_policy()
     except ConfigError as exc:
         problems.append(str(exc))
-        kind = None
+        policy = None
 
     multi = cfg.variant in ("MLSDC", "IMLSDC", "PFASST", "IPFASST")
     if multi and cfg.levels < 2:
@@ -172,13 +166,14 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         problems.append(f"variant={cfg.variant} is single-level; "
                         f"got levels={cfg.levels}")
     inexact = cfg.variant in ("ISDC", "IMLSDC", "IPFASST")
-    if kind == "direct" and inexact:
+    if isinstance(policy, Direct) and inexact:
         problems.append(f"variant={cfg.variant} needs an iterative policy, "
                         "not 'direct'")
-    if kind and kind != "direct" and not inexact:
+    if isinstance(policy, (FixedCycles, ToTolerance)) and not inexact:
         problems.append(f"variant={cfg.variant} uses exact solves; "
                         "set policy=direct")
-    if cfg.experiment == "vcycle-study" and kind != "fixed":
+    if (cfg.experiment == "vcycle-study"
+            and not isinstance(policy, FixedCycles)):
         problems.append("vcycle-study requires a FixedCycles policy "
                         "(policy=fixed:V)")
     pipelined = cfg.variant in ("PFASST", "IPFASST")
@@ -208,12 +203,12 @@ def parse_config(path: str | Path | None,
         raw.update(read_key_values(path))
     raw.update(overrides or {})
 
-    unknown = sorted(set(raw) - set(_CONVERTERS))
+    unknown = sorted(set(raw) - set(_FIELDS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key, text in raw.items():
         try:
-            values[key] = _CONVERTERS[key](text)
+            values[key] = _FIELDS[key](text)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {text!r} ({exc})")
 

@@ -149,8 +149,8 @@ class ShiftedOperator:
     """
 
     def __init__(self, base, sigma: float):
-        if sigma < 0:
-            raise ValueError("shift must be non-negative")
+        if not 0.0 <= sigma < np.inf:  # NaN fails every comparison
+            raise ValueError("shift must be finite and non-negative")
         self.base = base
         self.sigma = sigma
         self._diag = 1.0 - sigma * base.diagonal()

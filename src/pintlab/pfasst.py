@@ -4,16 +4,17 @@ This is pintlab's one time-stepping engine: serial MLSDC is PFASST on one
 rank with one block per step, and SDC is MLSDC on one level.
 
 Each time step of a block is owned by one rank.  A rank's iteration
-receives its predecessor's fine and coarsest final-node values, runs one
-MLSDC pass, and sends its own: the coarsest value, then the fine value
-with its converged flag.  A rank freezes once it and its predecessor have
+receives one message from its predecessor, runs one MLSDC pass, and sends
+one to its successor: its fine and coarsest final-node values and its
+converged flag.  A rank freezes once it and its predecessor have
 converged; it then stops, and its successor keeps the last values.
 
 Each rank's part of a block is written once, as the generator
-`_rank_steps`.  The serial executor steps the ranks' generators round
-robin, which fixes the normative message schedule; the threaded executor
-runs each generator in its own thread.  Both exchange messages through
-the same FIFO channels, so they produce bitwise-identical iterates.
+`_rank_steps`.  The serial executor steps the ranks' generators in one
+round robin, which fixes the normative message schedule; the threaded
+executor runs each generator in its own thread.  Both exchange messages
+through the same FIFO channel from each rank to its successor, so they
+produce bitwise-identical iterates.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ _ABORT = object()  # tag of the message that wakes a blocked receiver
 
 
 class _Channel:
-    """FIFO channel from one rank to its successor on one level.
+    """FIFO channel from one rank to its successor.
 
     Each message is received once, in send order, under exactly the tag it
     was sent with; any other tag raises.  A blocking channel (threaded
@@ -108,22 +109,18 @@ class _Channel:
         return payload
 
 
-class _Exchange(dict):
-    """The channels of one block, keyed by (sending rank, level).  Only the
-    fine and the coarsest level exchange values: the down pass restricts
-    the levels between from the fine one."""
+class _Exchange(list):
+    """The channels of one block; channel r runs from rank r to r + 1."""
 
-    def __init__(self, n_ranks: int, n_levels: int, blocking: bool):
-        super().__init__(((r, l), _Channel(blocking))
-                         for r in range(n_ranks - 1)
-                         for l in {0, n_levels - 1})
+    def __init__(self, n_ranks: int, blocking: bool):
+        super().__init__(_Channel(blocking) for _ in range(n_ranks - 1))
         self.aborted = threading.Event()
 
     def abort(self) -> None:
         """Stop every rank: receivers, blocked or not yet, raise _Aborted
         once the messages sent before the abort are used up."""
         self.aborted.set()
-        for channel in self.values():
+        for channel in self:
             channel.send(_ABORT, None)
 
 
@@ -147,33 +144,29 @@ class _BlockEngine:
         self.vcycles = [0] * p
         self.iterations = [0] * p
         self.converged = [False] * p
-        # per rank: the last value received on each level, and the
+        # per rank: the last (fine, coarsest) values received, and the
         # iteration at which its predecessor froze (rank 0 has none)
-        self.inbox: list[dict] = [dict() for _ in range(p)]
+        self.inbox: list[tuple | None] = [None] * p
         self.pred_frozen_at = [0] + [max_iter + 1] * (p - 1)
         self.trace: list[TraceRow] = []
         self.record_final_values = record_final_values
         self.final_values: list[np.ndarray] = []
         self._lock = threading.Lock()
 
-    def send(self, rank: int, level: int, k: int, value,
-             converged: bool = False) -> None:
-        """Forward a copy of a final-node value of iteration k.  The
-        fine-level message, sent last, carries the converged flag."""
+    def send(self, rank: int, tag, payload) -> None:
         if rank + 1 < self.p:  # the last rank has no successor
-            self.exchange[rank, level].send(("it", k),
-                                            (value.copy(), converged))
+            self.exchange[rank].send(tag, payload)
 
-    def receive(self, rank: int, level: int, k: int) -> np.ndarray:
-        """The predecessor's value of iteration k on one level.  A rank
-        that froze at iteration j sends nothing after j, so its successor
-        keeps the last value of each level for the iterations after j."""
+    def receive(self, rank: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The predecessor's fine and coarsest values of iteration k.  A
+        rank that froze at iteration j sends nothing after j, so its
+        successor keeps the last values for the iterations after j."""
         if k <= self.pred_frozen_at[rank]:
-            value, converged = self.exchange[rank - 1, level].recv(("it", k))
-            self.inbox[rank][level] = value
+            fine, coarse, converged = self.exchange[rank - 1].recv(("it", k))
+            self.inbox[rank] = fine, coarse
             if converged:
                 self.pred_frozen_at[rank] = k
-        return self.inbox[rank][level]
+        return self.inbox[rank]
 
     # ------------------------------------------------------------------
     # predictor
@@ -183,14 +176,13 @@ class _BlockEngine:
         if coarsest == 0:
             return  # one level (SDC): nothing coarser to burn in on
         if phase < rank:
-            # at phase == rank the predecessor has stopped, and the value
-            # received at phase rank - 1 is still the coarsest node 0
-            ts.states[coarsest].y[0] = self.exchange[rank - 1, coarsest].recv(
+            # at phase == rank the predecessor's predictor has ended, and
+            # the value received at phase rank - 1 is still the coarsest
+            # node 0
+            ts.states[coarsest].y[0] = self.exchange[rank - 1].recv(
                 ("pred", phase))
         self.vcycles[rank] += burn_in(ts, self.dt)
-        if rank + 1 < self.p:
-            self.exchange[rank, coarsest].send(
-                ("pred", phase), ts.states[coarsest].y[-1].copy())
+        self.send(rank, ("pred", phase), ts.states[coarsest].y[-1].copy())
 
     def predictor_finalize(self, rank: int) -> None:
         if len(self.levels) == 1:
@@ -200,26 +192,24 @@ class _BlockEngine:
     # ------------------------------------------------------------------
     # main iteration
     def rank_iteration(self, rank: int, k: int, block: int) -> bool:
-        """One PFASST iteration of one rank; returns the converged flag.
-        The fine value is received first and sent last."""
+        """One PFASST iteration of one rank; returns the converged flag."""
         ts = self.steps[rank]
-        coarsest = len(self.levels) - 1
         coarse_y0 = None
         if rank > 0:
-            ts.states[0].y[0] = self.receive(rank, 0, k)
-            coarse_y0 = self.receive(rank, coarsest, k)
+            ts.states[0].y[0], coarse_y0 = self.receive(rank, k)
         cycles = mlsdc_iteration(ts, self.dt, coarse_y0)
         res = residual(ts.states[0], self.dt)
         converged = res <= self.tol and self.pred_frozen_at[rank] <= k
-        self.send(rank, coarsest, k, ts.states[coarsest].y[-1])
-        self.send(rank, 0, k, ts.states[0].y[-1], converged)
+        fine = ts.states[0].y[-1].copy()
+        self.send(rank, ("it", k),
+                  (fine, ts.states[-1].y[-1].copy(), converged))
         with self._lock:
             self.vcycles[rank] += cycles
             self.iterations[rank] = k
             self.converged[rank] = converged
             self.trace.append(TraceRow(block, rank, k, 0, res, cycles))
             if self.record_final_values and rank == self.p - 1:
-                self.final_values.append(ts.states[0].y[-1].copy())
+                self.final_values.append(fine)
         return converged
 
 
@@ -238,13 +228,12 @@ def _rank_steps(engine: _BlockEngine, rank: int, block: int):
 
 
 def _run_block_serial(engine: _BlockEngine, block: int) -> None:
-    """Steps the rank programs round robin; this order is the normative
-    message schedule.  Predictor phase j runs on ranks j..p-1, then each
-    round runs one iteration of every rank still running, in rank order."""
+    """Steps the rank programs round robin, in rank order, until each has
+    returned; this order is the normative message schedule.  In round j a
+    rank r runs predictor phase j if j <= r, and its iteration j - r
+    after that, so its predecessor has sent every message it reads: in the
+    same round (phase j) or in the round before (iteration j - r)."""
     ranks = [_rank_steps(engine, r, block) for r in range(engine.p)]
-    for phase in range(engine.p):
-        for steps in ranks[phase:]:
-            next(steps)
     done = object()
     while ranks:
         ranks = [steps for steps in ranks if next(steps, done) is not done]
@@ -304,7 +293,7 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
     dt = t_end / (p * blocks)
     result = PfasstResult(u=u0)
     for block in range(blocks):
-        exchange = _Exchange(p, len(levels), blocking=executor == "threaded")
+        exchange = _Exchange(p, blocking=executor == "threaded")
         engine = _BlockEngine(levels, dt, tol, max_iter, exchange, result.u,
                               p, record_final_values=record_final_values)
         _EXECUTORS[executor](engine, block)

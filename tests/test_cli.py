@@ -9,6 +9,7 @@ from pintlab.cli import PRESETS, build_levels, main
 from pintlab.config import (ConfigError, ExperimentConfig, parse_config,
                             read_key_values, resolved_lines, validate)
 from pintlab.heat import Grid, HeatOperator, initial_condition
+from pintlab.multigrid import Direct, FixedCycles, ToTolerance
 from pintlab.pfasst import pfasst_run
 
 
@@ -143,13 +144,16 @@ class TestCrossFieldValidation:
 
     def test_bad_policy_string(self):
         with pytest.raises(ConfigError, match="policy must be"):
-            self.base(policy="newton").policy_kind()
+            self.base(policy="newton").solve_policy()
 
-    def test_policy_kind_parses(self):
-        assert self.base(policy="fixed:3").policy_kind() == ("fixed", 3.0)
-        assert self.base(policy="tolerance:1e-8").policy_kind() == \
-            ("tolerance", 1e-8)
-        assert self.base().policy_kind() == ("direct", 0.0)
+    def test_solve_policy_parses(self):
+        assert self.base(policy="fixed:3").solve_policy() == FixedCycles(3)
+        assert self.base(policy="tolerance:1e-8").solve_policy() == \
+            ToTolerance(1e-8)
+        assert self.base().solve_policy() == Direct()
+        assert self.base(policy="fixed").solve_policy() == FixedCycles(2)
+        assert self.base(policy="tolerance").solve_policy() == \
+            ToTolerance(1e-12)
 
 
 class TestResolvedLines:

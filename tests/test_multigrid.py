@@ -189,6 +189,13 @@ class TestShiftedOperator:
         with pytest.raises(ValueError):
             shifted(sigma=-1.0)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -1.0])
+    def test_rejects_non_finite_or_negative_shift(self, sigma):
+        # a NaN or infinite shift used to reach SuperLU, which reported a
+        # singular factor
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            shifted(sigma=sigma)
+
     def test_direct_solve_residual(self):
         op = shifted(3, 8, sigma=0.05)
         rng = np.random.default_rng(1)

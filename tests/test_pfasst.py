@@ -13,7 +13,7 @@ from pintlab.heat import Grid, HeatOperator, initial_condition, scalar_operator
 from pintlab.hierarchy import Level, TimeStep, interpolate_up, mlsdc_iteration
 from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
 from pintlab.pfasst import (_EXECUTORS, PfasstResult, _BlockEngine, _Channel,
-                            _Exchange, pfasst_run)
+                            _Exchange, _rank_steps, pfasst_run)
 from pintlab.quadrature import uniform_table
 from pintlab.sdc import SubStepError, residual, run_sdc, sdc_sweep
 
@@ -60,6 +60,32 @@ PIPELINE_CASES = {
 }
 
 
+def phase_major_serial(engine, block):
+    """The serial schedule that one round robin replaced, kept as a
+    reference: predictor phase j runs on ranks j..p-1, and only then does
+    each round run one iteration of every rank still running."""
+    ranks = [_rank_steps(engine, r, block) for r in range(engine.p)]
+    for phase in range(engine.p):
+        for steps in ranks[phase:]:
+            next(steps)
+    done = object()
+    while ranks:
+        ranks = [steps for steps in ranks if next(steps, done) is not done]
+
+
+def assert_bitwise_equal(a, b):
+    np.testing.assert_array_equal(a.u, b.u)
+    assert a.rank_iterations == b.rank_iterations
+    assert a.rank_vcycles == b.rank_vcycles
+    assert a.converged == b.converged
+    assert a.trace == b.trace
+    assert len(a.final_values) == len(b.final_values)
+    for block_a, block_b in zip(a.final_values, b.final_values):
+        assert len(block_a) == len(block_b)
+        for u_a, u_b in zip(block_a, block_b):
+            np.testing.assert_array_equal(u_a, u_b)
+
+
 class TestEquivalences:
     def test_single_rank_equals_serial_mlsdc(self):
         levels = make_levels()
@@ -75,24 +101,27 @@ class TestEquivalences:
         a = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
         b = deadline(pfasst_run, levels, u0, t_end, executor="threaded",
                      **kwargs)
-        assert a.rank_iterations == b.rank_iterations == rank_iterations
-        np.testing.assert_array_equal(a.u, b.u)
-        assert a.rank_vcycles == b.rank_vcycles
-        assert a.converged == b.converged
-        assert a.trace == b.trace
-        assert len(a.final_values) == len(b.final_values)
-        for block_a, block_b in zip(a.final_values, b.final_values):
-            assert len(block_a) == len(block_b)
-            for u_a, u_b in zip(block_a, block_b):
-                np.testing.assert_array_equal(u_a, u_b)
+        assert a.rank_iterations == rank_iterations
+        assert_bitwise_equal(a, b)
+
+    @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+    def test_round_robin_equals_phase_major_schedule(self, case,
+                                                     monkeypatch):
+        # every rank reads the same messages in the same order under both
+        # serial schedules, so they give the same bits
+        levels, u0, t_end, kwargs, rank_iterations = PIPELINE_CASES[case]()
+        monkeypatch.setitem(_EXECUTORS, "phase-major", phase_major_serial)
+        a = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
+        b = pfasst_run(levels, u0, t_end, executor="phase-major", **kwargs)
+        assert a.rank_iterations == rank_iterations
+        assert_bitwise_equal(a, b)
 
     @pytest.mark.parametrize("executor", ["serial", "threaded"])
     @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
     def test_block_sends_each_message_once(self, case, executor, deadline,
                                            monkeypatch):
-        # p(p-1)/2 predictor messages, then one message on the fine level
-        # and one on the coarsest for each iteration of a rank with a
-        # successor; a frozen rank sends nothing
+        # p(p-1)/2 predictor messages, then one message for each iteration
+        # of a rank with a successor; a frozen rank sends nothing
         tags = []
         send = _Channel.send
 
@@ -106,8 +135,9 @@ class TestEquivalences:
                        **kwargs)
         p, blocks = kwargs["p"], len(res.rank_iterations)
         assert tags.count("pred") == blocks * p * (p - 1) // 2
-        assert tags.count("it") == min(len(levels), 2) * sum(
+        assert tags.count("it") == sum(
             sum(block[:-1]) for block in res.rank_iterations)
+        assert len(tags) == tags.count("pred") + tags.count("it")
 
     def test_exactness_in_p_iterations(self):
         # after p iterations the parallel solution agrees with the serial
@@ -368,6 +398,19 @@ class TestValidation:
             deadline(pfasst_run, levels, u0, t_end, executor=executor,
                      **kwargs)
 
+    # the deadline's thread runs outside the caller's np.errstate
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("t_end", [np.nan, np.inf])
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    def test_rejects_non_finite_end_time(self, executor, t_end, deadline):
+        # the step's shifts are not finite; this used to end in SuperLU's
+        # "Factor is exactly singular"
+        levels = make_levels()
+        u0 = initial_condition(levels[0].grid, 1)
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            deadline(pfasst_run, levels, u0, t_end, p=2, max_iter=2,
+                     executor=executor)
+
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_run_sdc_rejects_fewer_than_one_iteration(self, max_iter):
         op = scalar_operator(-1.0)
@@ -398,13 +441,33 @@ class TestChannel:
 
 
 class TestExchange:
-    @pytest.mark.parametrize("n_levels", [2, 3])
-    def test_channels_only_on_fine_and_coarsest_levels(self, n_levels):
-        # the down pass restricts the levels between from the fine one, so
-        # nothing is sent on them
-        exchange = _Exchange(3, n_levels, blocking=False)
-        assert set(exchange) == {(r, l) for r in range(2)
-                                 for l in (0, n_levels - 1)}
+    @pytest.mark.parametrize("levels", [make_levels, weak_scaling_levels],
+                             ids=["2", "3"])
+    def test_one_message_of_fine_and_coarsest_values(self, levels,
+                                                     monkeypatch):
+        # one channel per rank pair; each iteration's message carries the
+        # fine and coarsest final values and the converged flag, and the
+        # levels between, restricted from the fine one, send nothing
+        assert len(_Exchange(3, blocking=False)) == 2
+        levels = levels()
+        sent = []
+        send = _Channel.send
+
+        def recording_send(self, tag, payload):
+            sent.append((tag, payload))
+            send(self, tag, payload)
+
+        monkeypatch.setattr(_Channel, "send", recording_send)
+        u0 = initial_condition(levels[0].grid, 1)
+        res = pfasst_run(levels, u0, 0.25, p=3, tol=1e-10, max_iter=12)
+        payloads = [payload for (kind, _), payload in sent if kind == "it"]
+        assert len(payloads) == sum(res.rank_iterations[0][:-1])
+        fine, coarsest = levels[0].grid.shape, levels[-1].grid.shape
+        for payload in payloads:
+            assert len(payload) == 3
+            assert payload[0].shape == fine
+            assert payload[1].shape == coarsest
+            assert type(payload[2]) is bool
 
 
 class TestSharedSpread:
@@ -431,8 +494,7 @@ class TestSharedSpread:
                                                 n_t=4, p=4)
         engine = _BlockEngine(levels, t_end / 4, kwargs["tol"],
                               kwargs["max_iter"],
-                              _Exchange(4, len(levels),
-                                        blocking=executor == "threaded"),
+                              _Exchange(4, blocking=executor == "threaded"),
                               u0, 4)
         self.assert_private(engine)
         deadline(_EXECUTORS[executor], engine, 0)

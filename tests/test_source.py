@@ -1,15 +1,19 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pintlab
 
 SOURCE = Path(pintlab.__file__).parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # Names with no caller in the package that stay, and why.
 NO_CALLER_IN_PACKAGE = {
@@ -61,3 +65,50 @@ def test_cli_import_loads_no_further_dependency():
              and name.partition(".")[0] not in sys.stdlib_module_names
              and name.partition(".")[0] not in ("numpy", "pintlab")}
     assert not extra
+
+
+# perfbench/tracing.py targets that pintlab no longer defines; dropping
+# them is an upkeep item of ROADMAP Direction 1
+STALE_TRACER_TARGETS = {"pfasst._BlockEngine.resend",
+                        "pfasst._SerialExchange.recv"}
+
+
+class TestBenchmarkInterface:
+    """The benchmark reaches pintlab by name, so a rename in the package
+    would zero one of its metrics without failing a run.  These tests read
+    perfbench/ as it is and install no tracer: Tracer.install rebinds
+    module attributes."""
+
+    @pytest.fixture
+    def perfbench(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        return (importlib.import_module("workloads"),
+                importlib.import_module("tracing"))
+
+    def test_every_workload_config_parses_and_builds(self, perfbench):
+        workloads, _ = perfbench
+        for name in workloads.WORKLOADS:
+            setup = workloads.set_up(name)
+            assert setup.u0.shape == setup.levels[0].grid.shape
+
+    def test_every_tracer_target_resolves(self, perfbench):
+        _, tracing = perfbench
+        missing = set()
+        for module, path, _ in tracing.TARGETS:
+            owner = importlib.import_module(f"pintlab.{module}")
+            for attr in path.split("."):
+                owner = getattr(owner, attr, None)
+            if owner is None:
+                missing.add(f"{module}.{path}")
+        assert missing <= STALE_TRACER_TARGETS
+
+    @pytest.mark.parametrize("name", ["isdc-3d-gs-tol", "ipfasst-1d"])
+    def test_solve_and_check_run_clean(self, perfbench, name):
+        # reaches run_sdc, pfasst_run(executor=...), vcycles and
+        # total_vcycles as the benchmark does
+        workloads, _ = perfbench
+        setup = workloads.set_up(name)
+        out = workloads.solve(setup)
+        _, _, problems = workloads.check(name, setup, out)
+        assert problems == []
+        assert out.converged and out.iterations > 0 and out.vcycles > 0
