@@ -27,7 +27,7 @@ from .config import (ConfigError, ExperimentConfig, parse_config,
                      resolved_lines, validate)
 from .heat import Grid, HeatOperator, exact_ode, exact_pde, initial_condition
 from .hierarchy import Level
-from .multigrid import Direct, MgConfig, MultigridError
+from .multigrid import MgConfig, MultigridError
 from .pfasst import pfasst_run
 from .quadrature import uniform_table
 from .sdc import SubStepError, run_sdc
@@ -36,14 +36,10 @@ OK = "ok"
 NO_CONVERGENCE = "max-iter"
 
 
-def _mg_config(cfg: ExperimentConfig) -> MgConfig:
-    return MgConfig(smoother=cfg.smoother, omega=cfg.omega,
-                    pre_sweeps=cfg.pre_sweeps, post_sweeps=cfg.post_sweeps)
-
-
 def build_levels(cfg: ExperimentConfig) -> list[Level]:
     """Level hierarchy with factor-2 spatial coarsening where possible."""
-    mg = _mg_config(cfg)
+    mg = MgConfig(smoother=cfg.smoother, omega=cfg.omega,
+                  pre_sweeps=cfg.pre_sweeps, post_sweeps=cfg.post_sweeps)
     policy = cfg.solve_policy()
     grid = Grid(cfg.dim, cfg.n_x, cfg.length)
     levels = []
@@ -81,17 +77,14 @@ def run_damping(cfg: ExperimentConfig):
 
 
 def run_order_study(cfg: ExperimentConfig):
-    grid = Grid(1, cfg.n_x, cfg.length)
-    op = HeatOperator(grid, cfg.nu, 2)
-    u0 = initial_condition(grid, cfg.k)
-    mg = _mg_config(cfg)
     rows, all_ok = [], True
     for order in (1, 2, 4, 8):
-        table = uniform_table(order)
+        [lvl] = build_levels(replace(cfg, nodes=(order + 1,)))
+        u0 = initial_condition(lvl.grid, cfg.k)
         for p in range(1, 13):
             n_t = 2 ** p
-            res = run_sdc(op, table, u0, cfg.t_end, n_t, cfg.tol,
-                          cfg.max_iter, mg, Direct())
+            res = run_sdc(lvl.operator, lvl.table, u0, cfg.t_end, n_t,
+                          cfg.tol, cfg.max_iter, lvl.mg_cfg, lvl.policy)
             ok = not res.exhausted_steps
             all_ok = all_ok and ok
             ode, pde = _errors(cfg, res.u, cfg.t_end)
@@ -256,18 +249,12 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key=value file")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="1 = serial executor, >1 = threaded")
         p.add_argument("--set", action="append", default=[], metavar="K=V",
                        dest="overrides", help="override one config key")
     args = parser.parse_args(argv)
 
     preset = dict(PRESETS[args.experiment], experiment=args.experiment)
-    if args.threads > 1:
-        preset["executor"] = "threaded"
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads={args.threads} is below 1")
         overrides = _parse_overrides(args.overrides)
         if args.out is not None:
             overrides["out"] = args.out

@@ -13,13 +13,13 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .multigrid import Direct, FixedCycles, SolvePolicy, ToTolerance
+from .multigrid import (SMOOTHERS, Direct, FixedCycles, SolvePolicy,
+                        ToTolerance)
+from .pfasst import EXECUTORS
 
 EXPERIMENTS = ("damping", "order-study", "vcycle-study", "weak-scaling",
                "strong-3d", "single-run")
 VARIANTS = ("SDC", "ISDC", "MLSDC", "IMLSDC", "PFASST", "IPFASST")
-SMOOTHERS = ("jacobi", "gauss-seidel", "jor-rb")
-EXECUTORS = ("serial", "threaded")
 
 
 class ConfigError(ValueError):
@@ -176,6 +176,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
             and not isinstance(policy, FixedCycles)):
         problems.append("vcycle-study requires a FixedCycles policy "
                         "(policy=fixed:V)")
+    if cfg.experiment == "order-study" and multi:
+        problems.append("order-study runs single-level SDC or ISDC, "
+                        f"got variant {cfg.variant}")
     pipelined = cfg.variant in ("PFASST", "IPFASST")
     if pipelined and cfg.n_t % cfg.p:
         problems.append(f"n_t={cfg.n_t} must be a multiple of p={cfg.p}")

@@ -33,16 +33,18 @@ from scipy.linalg.blas import dtbsv
 from .heat import Grid, HeatOperator, laplacian_1d
 from .transfers import full_weighting, interp_linear
 
+SMOOTHERS = ("jacobi", "gauss-seidel", "jor-rb")
+
 
 @dataclass(frozen=True)
 class MgConfig:
-    smoother: str = "jacobi"  # jacobi | gauss-seidel | jor-rb
+    smoother: str = "jacobi"  # one of SMOOTHERS
     omega: float = 2.0 / 3.0
     pre_sweeps: int = 2
     post_sweeps: int = 2
 
     def __post_init__(self):
-        if self.smoother not in ("jacobi", "gauss-seidel", "jor-rb"):
+        if self.smoother not in SMOOTHERS:
             raise ValueError(f"unknown smoother {self.smoother!r}")
         if not 0.0 < self.omega < np.inf:  # NaN fails every comparison
             raise ValueError("relaxation weight must be positive and finite")

@@ -10,9 +10,11 @@ converged flag.  A rank freezes once it and its predecessor have
 converged; it then stops, and its successor keeps the last values.
 
 Each rank's part of a block is written once, as the generator
-`_rank_steps`.  The serial executor steps the ranks' generators in one
-round robin, which fixes the normative message schedule; the threaded
-executor runs each generator in its own thread.  Both exchange messages
+`_rank_steps`.  A block runs on `workers` threads, each stepping a
+contiguous group of ranks' generators in one round robin; the calling
+thread runs the first group.  The serial executor is one worker, whose
+round robin over all ranks fixes the normative message schedule; the
+threaded executor has min(p, cores) workers.  All exchange messages
 through the same FIFO channel from each rank to its successor, so they
 produce bitwise-identical iterates.
 """
@@ -20,6 +22,7 @@ produce bitwise-identical iterates.
 from __future__ import annotations
 
 import contextvars
+import os
 import queue
 import threading
 from dataclasses import dataclass, field
@@ -29,6 +32,8 @@ import numpy as np
 from .hierarchy import (Level, TimeStep, burn_in, check_hierarchy,
                         interpolate_up, mlsdc_iteration)
 from .sdc import residual
+
+EXECUTORS = ("serial", "threaded")
 
 
 @dataclass
@@ -74,7 +79,7 @@ class PfasstResult:
 
 
 class _Aborted(Exception):
-    """Raised in a rank thread when another rank's thread has failed."""
+    """Raised in a worker when another worker has failed."""
 
 
 _ABORT = object()  # tag of the message that wakes a blocked receiver
@@ -84,10 +89,10 @@ class _Channel:
     """FIFO channel from one rank to its successor.
 
     Each message is received once, in send order, under exactly the tag it
-    was sent with; any other tag raises.  A blocking channel (threaded
-    executor) waits for the next message.  A non-blocking one (serial
-    executor) raises at once when none was sent, since no other rank can
-    send it while the receiver runs.
+    was sent with; any other tag raises.  A blocking channel (several
+    workers) waits for the next message.  A non-blocking one (one worker)
+    raises at once when none was sent, since no other rank can send it
+    while the receiver runs.
     """
 
     def __init__(self, blocking: bool):
@@ -227,49 +232,45 @@ def _rank_steps(engine: _BlockEngine, rank: int, block: int):
         yield
 
 
-def _run_block_serial(engine: _BlockEngine, block: int) -> None:
-    """Steps the rank programs round robin, in rank order, until each has
-    returned; this order is the normative message schedule.  In round j a
-    rank r runs predictor phase j if j <= r, and its iteration j - r
-    after that, so its predecessor has sent every message it reads: in the
-    same round (phase j) or in the round before (iteration j - r)."""
-    ranks = [_rank_steps(engine, r, block) for r in range(engine.p)]
-    done = object()
-    while ranks:
-        ranks = [steps for steps in ranks if next(steps, done) is not done]
-
-
-def _run_block_threaded(engine: _BlockEngine, block: int) -> None:
-    """Runs each rank's program in its own thread.  A rank that raises
-    stops the others, and the first such exception is raised here after
-    the join."""
+def _run_block(engine: _BlockEngine, block: int, workers: int) -> None:
+    """Runs the block on `workers` threads, each stepping the programs of a
+    contiguous group of ranks round robin, in rank order, until each has
+    returned; the calling thread runs the first group.  In round j a rank
+    r runs predictor phase j if j <= r, and its iteration j - r after
+    that, so a predecessor in its group has sent every message it reads:
+    in the same round (phase j) or in the round before (iteration j - r).
+    On one worker this is the normative message schedule.  A group that
+    raises stops the others, and the first such exception is raised here
+    after the join."""
     exchange = engine.exchange
     failures: list[BaseException] = []
 
-    def worker(rank: int):
+    def run(first: int, stop: int) -> None:
+        ranks = [_rank_steps(engine, r, block) for r in range(first, stop)]
+        done = object()
         try:
-            for _ in _rank_steps(engine, rank, block):
-                if exchange.aborted.is_set():
-                    return
+            while ranks and not exchange.aborted.is_set():
+                ranks = [steps for steps in ranks
+                         if next(steps, done) is not done]
         except _Aborted:
             pass
         except BaseException as exc:  # re-raised in the calling thread
             failures.append(exc)
             exchange.abort()
 
-    # each rank runs in a copy of the caller's context, so that NumPy's
-    # error state (np.errstate) holds in the rank threads too
+    bounds = [engine.p * w // workers for w in range(workers + 1)]
+    # each group runs in a copy of the caller's context, so that NumPy's
+    # error state (np.errstate) holds in its thread too
     threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(worker, r)) for r in range(engine.p)]
+                                args=(run, first, stop))
+               for first, stop in zip(bounds[1:-1], bounds[2:])]
     for t in threads:
         t.start()
+    run(bounds[0], bounds[1])
     for t in threads:
         t.join()
     if failures:
         raise failures[0]
-
-
-_EXECUTORS = {"serial": _run_block_serial, "threaded": _run_block_threaded}
 
 
 def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
@@ -283,20 +284,21 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
     """
     check_hierarchy(levels)
     u0 = np.asarray(u0, dtype=np.float64)
-    if executor not in _EXECUTORS:
+    if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}")
     if p < 1 or blocks < 1 or max_iter < 1:
         raise ValueError("need at least one rank, block and iteration")
     if len(levels) == 1 and p > 1:
         # on one level a rank never receives its predecessor's values
         raise ValueError("pipelining over ranks needs at least two levels")
+    workers = 1 if executor == "serial" else min(p, os.cpu_count() or 1)
     dt = t_end / (p * blocks)
     result = PfasstResult(u=u0)
     for block in range(blocks):
-        exchange = _Exchange(p, blocking=executor == "threaded")
+        exchange = _Exchange(p, blocking=workers > 1)
         engine = _BlockEngine(levels, dt, tol, max_iter, exchange, result.u,
                               p, record_final_values=record_final_values)
-        _EXECUTORS[executor](engine, block)
+        _run_block(engine, block, workers)
         result.u = engine.steps[-1].states[0].y[-1].copy()
         result.rank_iterations.append(list(engine.iterations))
         result.rank_vcycles.append(list(engine.vcycles))

@@ -1,5 +1,6 @@
 """Shared fixtures."""
 
+import contextvars
 import threading
 
 import pytest
@@ -20,7 +21,8 @@ def cold_caches():
 
 
 def _run_with_deadline(fn, *args, timeout=60.0, **kwargs):
-    """Calls fn(*args, **kwargs) in a daemon thread and returns its result
+    """Calls fn(*args, **kwargs) in a daemon thread, in a copy of the
+    caller's context (so np.errstate holds there), and returns its result
     or raises its exception.  The test fails if the call has not returned
     within `timeout` seconds, so a deadlock cannot stall the suite."""
     outcome = {}
@@ -31,7 +33,8 @@ def _run_with_deadline(fn, *args, timeout=60.0, **kwargs):
         except BaseException as exc:
             outcome["error"] = exc
 
-    thread = threading.Thread(target=run, daemon=True)
+    thread = threading.Thread(target=contextvars.copy_context().run,
+                              args=(run,), daemon=True)
     thread.start()
     thread.join(timeout)
     assert not thread.is_alive(), \

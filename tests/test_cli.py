@@ -1,14 +1,16 @@
 """Tests for configuration parsing and the command-line drivers."""
 
 import csv
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from pintlab import cli
 from pintlab.cli import PRESETS, build_levels, main
 from pintlab.config import (ConfigError, ExperimentConfig, parse_config,
                             read_key_values, resolved_lines, validate)
-from pintlab.heat import Grid, HeatOperator, initial_condition
+from pintlab.heat import Grid, HeatOperator, exact_pde, initial_condition
 from pintlab.multigrid import Direct, FixedCycles, ToTolerance
 from pintlab.pfasst import pfasst_run
 
@@ -131,6 +133,11 @@ class TestCrossFieldValidation:
                                levels=2, nodes=(3, 2), orders=(2, 2),
                                policy="tolerance:1e-10", n_t=8, p=4))
 
+    def test_order_study_needs_single_level_variant(self):
+        with pytest.raises(ConfigError, match="order-study runs single-level"):
+            validate(self.base(experiment="order-study", variant="MLSDC",
+                               levels=2, nodes=(3, 2), orders=(2, 2)))
+
     def test_all_problems_reported_at_once(self):
         bad = self.base(dim=7, smoother="sor", executor="mpi",
                         interp_order=3, n_t=0)
@@ -198,8 +205,6 @@ class TestMainExitCodes:
         ["length=nan"],
         ["tol=nan"],
         ["omega=nan"],
-        ["--threads=0"],
-        ["--threads=-4"],
     ])
     def test_invalid_value_exits_2_with_one_line(self, overrides, tmp_path,
                                                  capsys):
@@ -208,7 +213,7 @@ class TestMainExitCodes:
         args = ["single-run", "--out", str(tmp_path / "res.csv"),
                 "--set", "n_x=16", "--set", "n_t=4"]
         for pair in overrides:
-            args += [pair] if pair.startswith("--") else ["--set", pair]
+            args += ["--set", pair]
         assert main(args) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
@@ -240,6 +245,13 @@ class TestMainExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "k=40" in err[0]
         assert not out.exists()
+
+    def test_threads_flag_is_gone(self, capsys):
+        # the executor key is the one way to choose an executor
+        with pytest.raises(SystemExit) as exit_info:
+            main(["single-run", "--threads", "2"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_bad_set_syntax_exits_2(self, capsys):
         code = main(["single-run", "--set", "nx16"])
@@ -286,8 +298,9 @@ class TestMainExitCodes:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("variant", [
         ["--set", "variant=ISDC"],
-        ["--threads", "2", "--set", "variant=IPFASST", "--set", "levels=2",
-         "--set", "nodes=3,2", "--set", "orders=2,2", "--set", "p=2"]],
+        ["--set", "executor=threaded", "--set", "variant=IPFASST",
+         "--set", "levels=2", "--set", "nodes=3,2", "--set", "orders=2,2",
+         "--set", "p=2"]],
         ids=["ISDC", "IPFASST-threaded"])
     def test_numerical_failure_writes_one_line(self, tmp_path, capsys,
                                                variant, deadline):
@@ -348,6 +361,33 @@ class TestCsvOutput:
         assert resid < 1e-9
 
 
+class TestOrderStudy:
+    def test_runs_the_level_its_footer_records(self, monkeypatch):
+        # grid dimension, stencil order and policy come from the config;
+        # the stub returns the exact solution, whose error must read 0
+        cfg = parse_config(None, {"dim": "2", "orders": "4", "n_x": "8",
+                                  "variant": "ISDC", "policy": "fixed:2"},
+                           experiment="order-study", **PRESETS["order-study"])
+        seen = []
+
+        def exact_sdc(op, table, u0, t_end, n_t, tol, max_iter, mg_cfg,
+                      policy):
+            seen.append((op, table, mg_cfg, policy))
+            return SimpleNamespace(u=exact_pde(op.grid, cfg.k, cfg.nu, t_end),
+                                   exhausted_steps=[],
+                                   trace=[SimpleNamespace(residual=0.0)])
+
+        monkeypatch.setattr(cli, "run_sdc", exact_sdc)
+        _, rows, converged = cli.run_order_study(cfg)
+        assert converged and len(rows) == 48
+        assert {row[3] for row in rows} == {"0.0"}
+        assert {(op.grid.dim, op.grid.n, op.order)
+                for op, *_ in seen} == {(2, 8, 4)}
+        assert sorted({table.m for _, table, *_ in seen}) == [1, 2, 4, 8]
+        assert {(mg.smoother, policy) for *_, mg, policy in seen} == {
+            (cfg.smoother, FixedCycles(2))}
+
+
 class TestSingleRunBackwardEuler:
     def test_two_nodes_one_step_is_backward_euler(self, tmp_path):
         """With M=1 quadrature and one time step, the converged SDC
@@ -385,7 +425,8 @@ class TestVariantsThroughSingleRun:
     def test_ipfasst_single_run_threaded(self, tmp_path, deadline):
         out = tmp_path / "res.csv"
         code = deadline(main, ["single-run", "--out", str(out),
-                               "--threads", "4", "--set", "variant=IPFASST",
+                               "--set", "executor=threaded",
+                               "--set", "variant=IPFASST",
                                "--set", "levels=2", "--set", "nodes=3,2",
                                "--set", "orders=2,2",
                                "--set", "policy=fixed:2", "--set", "n_x=32",

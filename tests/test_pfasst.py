@@ -1,19 +1,22 @@
 """Tests for the pipelined time-parallel engine."""
 
+import os
 import sys
+import threading
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from pintlab import pfasst
 from pintlab.cli import PRESETS, build_levels
 from pintlab.config import parse_config
 from pintlab.heat import Grid, HeatOperator, initial_condition, scalar_operator
 from pintlab.hierarchy import Level, TimeStep, interpolate_up, mlsdc_iteration
 from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
-from pintlab.pfasst import (_EXECUTORS, PfasstResult, _BlockEngine, _Channel,
-                            _Exchange, _rank_steps, pfasst_run)
+from pintlab.pfasst import (PfasstResult, _BlockEngine, _Channel, _Exchange,
+                            _rank_steps, _run_block, pfasst_run)
 from pintlab.quadrature import uniform_table
 from pintlab.sdc import SubStepError, residual, run_sdc, sdc_sweep
 
@@ -96,13 +99,18 @@ class TestEquivalences:
 
     @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
     def test_serial_and_threaded_executors_bitwise_identical(self, case,
-                                                             deadline):
+                                                             deadline,
+                                                             monkeypatch):
+        # on any core count; with p=8 on 3 cores the threaded executor's
+        # groups hold 2, 3 and 3 ranks
         levels, u0, t_end, kwargs, rank_iterations = PIPELINE_CASES[case]()
         a = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
-        b = deadline(pfasst_run, levels, u0, t_end, executor="threaded",
-                     **kwargs)
         assert a.rank_iterations == rank_iterations
-        assert_bitwise_equal(a, b)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            b = deadline(pfasst_run, levels, u0, t_end, executor="threaded",
+                         **kwargs)
+            assert_bitwise_equal(a, b)
 
     @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
     def test_round_robin_equals_phase_major_schedule(self, case,
@@ -110,9 +118,10 @@ class TestEquivalences:
         # every rank reads the same messages in the same order under both
         # serial schedules, so they give the same bits
         levels, u0, t_end, kwargs, rank_iterations = PIPELINE_CASES[case]()
-        monkeypatch.setitem(_EXECUTORS, "phase-major", phase_major_serial)
         a = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
-        b = pfasst_run(levels, u0, t_end, executor="phase-major", **kwargs)
+        monkeypatch.setattr(pfasst, "_run_block", lambda engine, block, _:
+                            phase_major_serial(engine, block))
+        b = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
         assert a.rank_iterations == rank_iterations
         assert_bitwise_equal(a, b)
 
@@ -398,8 +407,6 @@ class TestValidation:
             deadline(pfasst_run, levels, u0, t_end, executor=executor,
                      **kwargs)
 
-    # the deadline's thread runs outside the caller's np.errstate
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("t_end", [np.nan, np.inf])
     @pytest.mark.parametrize("executor", ["serial", "threaded"])
     def test_rejects_non_finite_end_time(self, executor, t_end, deadline):
@@ -407,7 +414,8 @@ class TestValidation:
         # "Factor is exactly singular"
         levels = make_levels()
         u0 = initial_condition(levels[0].grid, 1)
-        with pytest.raises(ValueError, match="finite and non-negative"):
+        with pytest.raises(ValueError, match="finite and non-negative"), \
+                np.errstate(invalid="ignore"):
             deadline(pfasst_run, levels, u0, t_end, p=2, max_iter=2,
                      executor=executor)
 
@@ -488,16 +496,15 @@ class TestSharedSpread:
             assert not any(np.shares_memory(a, b)
                            for a in own for b in others)
 
-    @pytest.mark.parametrize("executor", ["serial", "threaded"])
-    def test_spread_is_read_only_and_never_shared(self, executor, deadline):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "threaded"])
+    def test_spread_is_read_only_and_never_shared(self, workers, deadline):
         levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
                                                 n_t=4, p=4)
         engine = _BlockEngine(levels, t_end / 4, kwargs["tol"],
                               kwargs["max_iter"],
-                              _Exchange(4, blocking=executor == "threaded"),
-                              u0, 4)
+                              _Exchange(4, blocking=workers > 1), u0, 4)
         self.assert_private(engine)
-        deadline(_EXECUTORS[executor], engine, 0)
+        deadline(_run_block, engine, 0, workers)
         assert [engine.iterations] == pfasst_run(
             levels, u0, t_end, **kwargs).rank_iterations
         self.assert_private(engine)
@@ -518,9 +525,12 @@ class TestCachedSetup:
         assert a.rank_iterations == b.rank_iterations
         assert a.rank_vcycles == b.rank_vcycles
 
-    def test_threaded_cold_start_matches_serial(self, cold_caches, deadline):
-        # four rank threads race to build the shared operators and
-        # factors; a short switch interval makes them interleave often
+    def test_threaded_cold_start_matches_serial(self, cold_caches, deadline,
+                                                monkeypatch):
+        # four workers, one per rank whatever the core count, race to
+        # build the shared operators and factors; a short switch interval
+        # makes them interleave often
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
         levels = make_levels()
         u0 = initial_condition(levels[0].grid, 1)
         interval = sys.getswitchinterval()
@@ -534,6 +544,72 @@ class TestCachedSetup:
         np.testing.assert_array_equal(threaded.u, serial.u)
         assert threaded.rank_iterations == serial.rank_iterations
         assert threaded.rank_vcycles == serial.rank_vcycles
+
+
+class TestWorkers:
+    """The threaded executor splits the ranks into min(p, cores)
+    contiguous groups of near-equal size, one thread each; the calling
+    thread runs the first group."""
+
+    @pytest.mark.parametrize("p, cores", [(8, 3), (2, 3), (4, 1)])
+    def test_each_thread_owns_a_contiguous_range_of_ranks(self, p, cores,
+                                                          deadline,
+                                                          monkeypatch):
+        owners = {}
+        iteration = _BlockEngine.rank_iteration
+
+        def recording_iteration(engine, rank, k, block):
+            owners.setdefault(threading.get_ident(), set()).add(rank)
+            return iteration(engine, rank, k, block)
+
+        monkeypatch.setattr(_BlockEngine, "rank_iteration",
+                            recording_iteration)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
+                                                n_t=p, p=p, max_iter=3)
+
+        def run():
+            pfasst_run(levels, u0, t_end, executor="threaded", **kwargs)
+            return threading.get_ident()
+
+        caller = deadline(run)
+        assert len(owners) == min(p, cores)
+        groups = sorted(sorted(ranks) for ranks in owners.values())
+        assert [rank for group in groups for rank in group] == list(range(p))
+        assert all(group == list(range(group[0], group[-1] + 1))
+                   for group in groups)
+        sizes = [len(group) for group in groups]
+        assert max(sizes) - min(sizes) <= 1
+        assert 0 in owners[caller]
+
+    def test_failing_rank_stops_every_worker(self, deadline, monkeypatch):
+        # groups [0, 2), [2, 5) and [5, 8): rank 2 fails in its first
+        # iteration while rank 1 waits for the abort before its second.
+        # The last group waits for predictor messages that never come, so
+        # the run returns only if the abort stops both other groups.
+        last = {}
+        iteration = _BlockEngine.rank_iteration
+
+        def failing_iteration(engine, rank, k, block):
+            if rank == 2:
+                raise RuntimeError("rank 2 failed")
+            if rank == 1 and k == 2:
+                engine.exchange.aborted.wait(timeout=30)
+            last[rank] = k
+            return iteration(engine, rank, k, block)
+
+        monkeypatch.setattr(_BlockEngine, "rank_iteration",
+                            failing_iteration)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
+                                                n_t=8, p=8, tol=1e-300,
+                                                max_iter=5)
+        with pytest.raises(RuntimeError, match="rank 2 failed"):
+            deadline(pfasst_run, levels, u0, t_end, executor="threaded",
+                     **kwargs)
+        # the first group ends the round in which the abort came (by
+        # round 3 at the latest) instead of running to max_iter
+        assert last[0] <= 3 and last[1] <= 2
 
 
 class TestFailures:
