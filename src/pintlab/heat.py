@@ -3,7 +3,9 @@
 Grids store interior unknowns only (homogeneous Dirichlet boundaries are
 eliminated), laid out as dense arrays with one axis per dimension and the
 x axis last, so C-order raveling gives the lexicographic ordering with x
-fastest.
+fastest.  Leading axes, where an array has them, stack independent grids
+(the ranks of a PFASST block): every operator here and in the transfer
+and multigrid modules acts on the trailing grid axes.
 
 The heat operator is the Kronecker sum of one dense 1D matrix
 D = nu * laplacian_1d, cached read-only per grid: its apply multiplies D
@@ -128,13 +130,26 @@ def laplacian_1d(n: int, length: float, order: int) -> np.ndarray:
     return mat
 
 
-def along_axis(mat: np.ndarray, u: np.ndarray, axis: int) -> np.ndarray:
-    """The 1D matrix `mat` applied along one axis of `u`, moving no axis."""
-    if axis == u.ndim - 1:
+def along_axis(mat: np.ndarray, u: np.ndarray, axis: int,
+               dim: int) -> np.ndarray:
+    """The 1D matrix `mat` applied along grid axis `axis` (the x axis is
+    dim - 1) of `u`, whose trailing `dim` axes are the grid and whose
+    leading axes, if any, stack independent grids.  No axis moves.
+
+    Every BLAS call sees one grid's operands, the shapes an unstacked `u`
+    gives: a 1D grid row is one vector-matrix product, and a 2D or 3D
+    grid one matrix product per (y, x) plane or, along z, per grid.  So a grid's
+    result does not depend on what is stacked with it, bit for bit.
+    """
+    if dim == 1:
+        return np.matmul(u[..., None, :], mat.T)[..., 0, :]
+    if axis == dim - 1:
         return u @ mat.T
-    if axis == u.ndim - 2:
-        return np.matmul(mat, u)  # broadcast over a leading z axis
-    return (mat @ u.reshape(u.shape[0], -1)).reshape((-1,) + u.shape[1:])
+    if axis == dim - 2:
+        return np.matmul(mat, u)  # broadcast over the leading axes
+    *lead, nz, ny, nx = u.shape  # the z axis of a 3D grid
+    return np.matmul(mat, u.reshape(*lead, nz, ny * nx)).reshape(
+        *lead, len(mat), ny, nx)
 
 
 @lru_cache(maxsize=FACTOR_CACHE_SIZE)
@@ -168,14 +183,16 @@ class HeatOperator:
         return _axis_factor(g.n, g.length, self.nu, self.order)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """The Kronecker sum of D = nu * laplacian_1d, summed x, y, z."""
+        """The Kronecker sum of D = nu * laplacian_1d, summed x, y, z, on
+        each grid of `u` (its trailing axes; leading axes stack grids)."""
         shape = self.grid.shape
-        if u.shape != shape:
-            raise ValueError(f"expected shape {shape}, got {u.shape}")
+        dim = len(shape)
+        if u.shape[-dim:] != shape:
+            raise ValueError(f"expected trailing shape {shape}, got {u.shape}")
         d = self._factor
-        out = along_axis(d, u, u.ndim - 1)
-        for axis in range(u.ndim - 2, -1, -1):
-            out += along_axis(d, u, axis)
+        out = along_axis(d, u, dim - 1, dim)
+        for axis in range(dim - 2, -1, -1):
+            out += along_axis(d, u, axis, dim)
         return out
 
     def diagonal(self) -> np.ndarray:

@@ -8,6 +8,10 @@ correction) or pointwise injection, on the way down; the way up combines
 Lagrange time interpolation with linear or cubic spatial interpolation.
 FAS corrections accumulate through the hierarchy so that every coarse
 equation stays consistent with the finest level.
+
+A time step here is a batch of ranks' steps: node states are node-first
+(node, rank, *grid) arrays, and every function acts on all ranks of the
+batch at once.
 """
 
 from __future__ import annotations
@@ -67,16 +71,16 @@ def restrict_space(u: np.ndarray, fine: Level, coarse: Level) -> np.ndarray:
     if coarse.grid.n == fine.grid.n:
         return u.copy()
     if fine.space_restrict == "inject":
-        return inject(u)
-    return full_weighting(u)
+        return inject(u, fine.grid.dim)
+    return full_weighting(u, fine.grid.dim)
 
 
 def _space_interp(u: np.ndarray, fine: Level, coarse: Level) -> np.ndarray:
     if coarse.grid.n == fine.grid.n:
         return u
     if fine.space_interp_order == 2:
-        return interp_linear(u)
-    return interp_cubic(u)
+        return interp_linear(u, fine.grid.dim)
+    return interp_cubic(u, fine.grid.dim)
 
 
 def restrict_state(fine_states: NodeStates, fine: Level,
@@ -96,9 +100,10 @@ def compute_fas(fine_states: NodeStates, coarse_states: NodeStates,
     """FAS correction: restricted fine node integrals minus coarse node
     integrals of the restricted state, plus any correction already present
     on the fine level."""
-    fine_int = dt * node_dot(fine.table.weights, fine_states.f)
+    fine_int = node_dot(fine.table.weights, fine_states.f)
+    fine_int *= dt
     if fine_tau is not None:
-        fine_int = fine_int + fine_tau
+        fine_int += fine_tau
     idx = time_restriction(fine.table.nodes, coarse.table.nodes)
     restricted_int = np.stack(
         [restrict_space(fine_int[i], fine, coarse) for i in idx])
@@ -122,15 +127,16 @@ def coarse_correction(fine_states: NodeStates, old_coarse_y: np.ndarray,
 
 @dataclass
 class TimeStep:
-    """Working state of one time step; level l starts from states[l].y[0]."""
+    """Working state of a batch of ranks' time steps, one NodeStates per
+    level; level l starts from states[l].y[0]."""
 
     levels: list[Level]
     states: list[NodeStates]
-    tau: list[np.ndarray | None]  # FAS corrections; None until set
 
     @classmethod
     def spread(cls, levels: list[Level], u0: np.ndarray) -> "TimeStep":
-        """All nodes of all levels initialized with the initial value."""
+        """All nodes of all levels initialized with the initial values u0,
+        one fine grid per rank."""
         states = []
         u = u0
         prev = None
@@ -139,44 +145,54 @@ class TimeStep:
                 u = restrict_space(u, prev, lvl)
             states.append(NodeStates.spread(lvl.operator, lvl.table, u))
             prev = lvl
-        return cls(levels=levels, states=states, tau=[None] * len(levels))
+        return cls(levels=levels, states=states)
 
-    def sweep(self, l: int, dt: float) -> int:
-        """One sweep of level l from its node-0 value; returns V-cycles."""
+    def sweep(self, l: int, dt: float,
+              tau: np.ndarray | None = None) -> np.ndarray:
+        """One sweep of level l from its node-0 values, with the FAS
+        correction tau; returns each rank's V-cycles."""
         lvl, states = self.levels[l], self.states[l]
         return sdc_sweep(states, dt, lvl.operator, lvl.mg_cfg, lvl.policy,
-                         tau=self.tau[l])
+                         tau=tau)
 
 
 def mlsdc_iteration(ts: TimeStep, dt: float,
-                    coarse_y0: np.ndarray | None = None) -> int:
-    """One V-shaped pass over the hierarchy.  Returns V-cycles consumed.
+                    coarse_y0: np.ndarray | None = None) -> np.ndarray:
+    """One V-shaped pass over the hierarchy, in place.  Returns the
+    V-cycles of each rank.
 
-    `coarse_y0`, when given, replaces the coarsest initial value after the
-    down pass.  A single-level hierarchy degenerates to one plain sweep.
+    `coarse_y0`, when given, replaces the coarsest initial values of the
+    last len(coarse_y0) ranks after the down pass: those that receive
+    one from a predecessor.  A single-level hierarchy degenerates to one
+    plain sweep.
     """
     levels, states = ts.levels, ts.states
     lc = len(levels) - 1
+    # FAS corrections, computed afresh on the way down
+    tau: list[np.ndarray | None] = [None] * len(levels)
     old_coarse_y: list[np.ndarray | None] = [None] * len(levels)
     for l in range(lc):
         restricted = restrict_state(states[l], levels[l], levels[l + 1])
-        ts.tau[l + 1] = compute_fas(states[l], restricted, levels[l],
-                                    levels[l + 1], dt, fine_tau=ts.tau[l])
-        old_coarse_y[l + 1] = restricted.y.copy()
-        states[l + 1] = restricted
+        tau[l + 1] = compute_fas(states[l], restricted, levels[l],
+                                 levels[l + 1], dt, fine_tau=tau[l])
+        old_coarse_y[l + 1] = restricted.y
+        states[l + 1].y[...] = restricted.y
+        states[l + 1].f[...] = restricted.f
 
     if coarse_y0 is not None:
-        states[lc].y[0] = coarse_y0
-    cycles = ts.sweep(lc, dt)
+        y0 = states[lc].y[0]
+        y0[len(y0) - len(coarse_y0):] = coarse_y0
+    cycles = ts.sweep(lc, dt, tau[lc])
     for l in range(lc - 1, -1, -1):
         coarse_correction(states[l], old_coarse_y[l + 1], states[l + 1],
                           levels[l], levels[l + 1])
-        cycles += ts.sweep(l, dt)
+        cycles += ts.sweep(l, dt, tau[l])
     return cycles
 
 
-def burn_in(ts: TimeStep, dt: float) -> int:
-    """One coarsest-level sweep, used to seed a freshly spread step."""
+def burn_in(ts: TimeStep, dt: float) -> np.ndarray:
+    """One coarsest-level sweep, used to seed freshly spread steps;
+    returns each rank's V-cycles."""
     return ts.sweep(len(ts.levels) - 1, dt)
 
 
@@ -184,7 +200,7 @@ def interpolate_up(ts: TimeStep, spread: list[NodeStates]) -> None:
     """Propagate the burn-in coarse state to the finer levels.
 
     `spread[l]`, only read, is the pre-burn-in state of level l (restricted
-    from the spread fine state).
+    from the spread fine state), for one rank or for each.
     """
     levels, states = ts.levels, ts.states
     for l in range(len(levels) - 2, -1, -1):

@@ -11,10 +11,18 @@ cached `ShiftedOperator` of each grid and shift owns what is fixed per
 shift: its coarse-grid operator, its SuperLU direct factor (for `Direct`
 and the coarsest V-cycle grid) and its Gauss-Seidel triangle.  On a 1D
 grid the triangle is a read-only band of order/2 + 1 diagonals, and a
-sweep is one BLAS banded solve (dtbsv); in 2D and 3D, where the band
+sweep is one LAPACK banded solve (dtbtrs); in 2D and 3D, where the band
 would be (n-1)^(dim-1) wide, it is a SuperLU factor that stores only the
 triangle's nonzeros.  All are built on first use, so a V-cycle only
 applies operators and runs prefactored solves.
+
+Every array may stack grids on leading axes (the ranks of a PFASST
+block), and each stacked grid gets the bits that it gets alone.  A 1D
+sweep is one dtbtrs call for all grids, which runs one dtbsv per grid; a
+2D or 3D sweep is one SuperLU solve with a right-hand side per grid, and
+so is a coarsest-grid solve, but a larger direct factor solves one grid
+at a time (see `ShiftedOperator.solve_direct`).  Tolerance solves stop
+each grid at its own cycle count and report its own status.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 # loaded by scipy.sparse.linalg already, so this imports no further module
-from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dtbtrs
 
 from .heat import Grid, HeatOperator, laplacian_1d
 from .transfers import full_weighting, interp_linear
@@ -72,6 +80,8 @@ class ToTolerance:
             raise ValueError("tolerance must be positive and finite")
         if not 0.0 < self.stall < 1.0:
             raise ValueError("stall factor must be in (0, 1)")
+        if self.max_cycles < 1:
+            raise ValueError("need at least one V-cycle")
 
 
 @dataclass(frozen=True)
@@ -86,8 +96,8 @@ SolvePolicy = Union[FixedCycles, ToTolerance, Direct]
 # to its nonzeros (a 2D or 3D Gauss-Seidel sweep's forward substitution, a
 # tiny coarsest-level system, or a direct solve), so contention under the
 # threaded time-parallel executor stays small.  The 1D Gauss-Seidel sweep
-# takes no lock: dtbsv only reads the shared band and solves in its own
-# copy of the right-hand side.
+# takes no lock: dtbtrs only reads the shared band and solves in the
+# sweep's own residual array.
 _FACTOR_SOLVE_LOCK = threading.Lock()
 
 # Bounds of the module-level caches.  A solve uses one entry per grid of
@@ -210,7 +220,7 @@ class ShiftedOperator:
     @cached_property
     def gauss_seidel_band(self) -> np.ndarray:
         """Read-only lower triangle of I - sigma*A in the banded layout
-        that dtbsv reads in place: band[i, j] = (I - sigma*A)[j + i, j],
+        that dtbtrs reads in place: band[i, j] = (I - sigma*A)[j + i, j],
         in Fortran order.
 
         Its rows are the triangle's diagonals: order/2 + 1 on a 1D grid,
@@ -228,9 +238,23 @@ class ShiftedOperator:
         return band
 
     def solve_direct(self, b: np.ndarray) -> np.ndarray:
+        """The exact solve of each grid stacked in `b`.
+
+        With several right-hand sides SuperLU runs BLAS-3 kernels on its
+        wide supernodes, and those round differently from single solves
+        (seen on 3D factors from n = 8 up).  The small factors of the
+        coarsest V-cycle grids agree bit for bit (tests/test_batch.py),
+        so they take all grids in one call; larger factors solve one grid
+        at a time.
+        """
         lu = self.lu
+        rows = b.reshape(-1, self.grid.dof)
         with _FACTOR_SOLVE_LOCK:
-            return lu.solve(b.ravel()).reshape(b.shape)
+            if self.coarsest:
+                x = lu.solve(rows.T).T
+            else:
+                x = np.array([lu.solve(row) for row in rows])
+        return x.reshape(b.shape)
 
 
 @lru_cache(maxsize=SHIFT_CACHE_SIZE)
@@ -247,20 +271,22 @@ def smooth(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
     if cfg.smoother == "jacobi":
         for _ in range(count):
             u = u + cfg.omega * (b - op.apply(u)) / diag
-    elif cfg.smoother == "gauss-seidel" and u.ndim == 1:
+    elif cfg.smoother == "gauss-seidel" and op.grid.dim == 1:
         band = op.gauss_seidel_band
-        k = band.shape[0] - 1
         for _ in range(count):
-            u = u + dtbsv(k, band, b - op.apply(u), lower=1)
+            # one column per grid, F-ordered; solved in place
+            r = (b - op.apply(u)).reshape(-1, band.shape[1]).T
+            du = dtbtrs(band, r, uplo="L", overwrite_b=True)[0]
+            u = u + du.T.reshape(u.shape)
     elif cfg.smoother == "gauss-seidel":
-        lower = op.gauss_seidel_factor
+        lower, rows = op.gauss_seidel_factor, (-1, op.grid.dof)
         for _ in range(count):
-            r = b - op.apply(u)
+            r = (b - op.apply(u)).reshape(rows)
             with _FACTOR_SOLVE_LOCK:
-                du = lower.solve(r.ravel())
-            u = u + du.reshape(u.shape)
+                du = lower.solve(r.T)
+            u = u + du.T.reshape(u.shape)
     else:  # jor-rb
-        red, black = _colour_masks(u.shape)
+        red, black = _colour_masks(op.grid.shape)
         for _ in range(count):
             u = u + np.where(red, cfg.omega * (b - op.apply(u)) / diag, 0.0)
             u = u + np.where(black, cfg.omega * (b - op.apply(u)) / diag, 0.0)
@@ -271,55 +297,91 @@ def v_cycle(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
             cfg: MgConfig) -> np.ndarray:
     if op.coarsest:
         return op.solve_direct(b)
+    dim = op.grid.dim
     u = smooth(op, u, b, cfg, cfg.pre_sweeps)
-    rc = full_weighting(b - op.apply(u))
+    rc = full_weighting(b - op.apply(u), dim)
     ec = v_cycle(op.coarsen(), np.zeros(rc.shape), rc, cfg)
-    u = u + interp_linear(ec)
+    u = u + interp_linear(ec, dim)
     return smooth(op, u, b, cfg, cfg.post_sweeps)
 
 
 @dataclass
 class SolveResult:
+    """The solution and, per stacked grid, its V-cycles and status
+    (direct | fixed | converged | stalled): arrays of the stacking shape,
+    0-d for one grid alone."""
+
     u: np.ndarray
-    cycles: int
-    status: str  # direct | fixed | converged | stalled
+    cycles: np.ndarray
+    status: np.ndarray
 
 
-def _finite_residual(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
-                     cycles: int) -> float:
-    """Residual norm; a NaN would compare as converged, so it raises."""
-    res = np.linalg.norm((b - op.apply(u)).ravel())
-    if not np.isfinite(res):
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row, with the bits of np.linalg.norm(row): one
+    BLAS dot product per row, as norm takes for one vector."""
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
+
+
+def _finite_residuals(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
+                      cycles: int) -> np.ndarray:
+    """Residual norm of each row of grids; a NaN would compare as
+    converged, so it raises."""
+    res = _norms((b - op.apply(u)).reshape(len(b), op.grid.dof))
+    bad = ~np.isfinite(res)
+    if bad.any():
         raise MultigridError(
-            f"non-finite residual after {cycles} V-cycles", res, cycles)
+            f"non-finite residual after {cycles} V-cycles", res[bad][0],
+            cycles)
     return res
 
 
 def solve(op: ShiftedOperator, u0: np.ndarray, b: np.ndarray,
           cfg: MgConfig, policy: SolvePolicy) -> SolveResult:
+    stacking = b.shape[:b.ndim - op.grid.dim]
     if isinstance(policy, Direct):
-        return SolveResult(op.solve_direct(b), 0, "direct")
+        return SolveResult(op.solve_direct(b), np.zeros(stacking, int),
+                           np.full(stacking, "direct", dtype=object))
     if isinstance(policy, FixedCycles):
         u = u0
         for _ in range(policy.cycles):
             u = v_cycle(op, u, b, cfg)
-        return SolveResult(u, policy.cycles, "fixed")
-    # ToTolerance: relative residual, with stall detection
-    bnorm = np.linalg.norm(b.ravel())
-    if bnorm == 0.0:
-        return SolveResult(np.zeros_like(b), 0, "converged")
-    u = u0
-    res = _finite_residual(op, u, b, 0)
-    cycles = 0
-    while res > policy.tol * bnorm:
-        if cycles >= policy.max_cycles:
+        return SolveResult(u, np.full(stacking, policy.cycles),
+                           np.full(stacking, "fixed", dtype=object))
+    # ToTolerance: each grid to its own relative residual, with stall
+    # detection.  V-cycles run on the grids still iterating, gathered
+    # into (u_run, b_run) only when one stops.
+    rows = b.reshape((-1,) + op.grid.shape)
+    u = np.array(u0, dtype=float).reshape(rows.shape)
+    cycles = np.zeros(len(rows), int)
+    status = np.full(len(rows), "converged", dtype=object)
+    bnorm = _norms(rows.reshape(len(rows), op.grid.dof))
+    u[bnorm == 0.0] = 0.0
+    run = np.flatnonzero(bnorm != 0.0)
+    u_run, b_run = (u, rows) if len(run) == len(rows) else (u[run], rows[run])
+    res = _finite_residuals(op, u_run, b_run, 0)
+    target = policy.tol * bnorm[run]
+    going = res > target
+    count = 0
+    while True:
+        if not going.all():
+            u[run[~going]] = u_run[~going]
+            run, u_run, b_run, res, target = (
+                a[going] for a in (run, u_run, b_run, res, target))
+        if not run.size:
+            break
+        if count >= policy.max_cycles:
             raise MultigridError(
-                f"no convergence after {cycles} V-cycles "
-                f"(relative residual {res / bnorm:.3e})", res, cycles)
-        u = v_cycle(op, u, b, cfg)
-        cycles += 1
-        new_res = _finite_residual(op, u, b, cycles)
-        if new_res > policy.tol * bnorm and new_res >= policy.stall * res:
-            return SolveResult(u, cycles, "stalled")
-        res = new_res
-    return SolveResult(u, cycles, "converged")
+                f"no convergence after {count} V-cycles "
+                f"(relative residual {res[0] / bnorm[run[0]]:.3e})",
+                res[0], count)
+        u_run = v_cycle(op, u_run, b_run, cfg)
+        count += 1
+        cycles[run] = count
+        new = _finite_residuals(op, u_run, b_run, count)
+        above = new > target
+        stalled = above & (new >= policy.stall * res)
+        status[run[stalled]] = "stalled"
+        res = new
+        going = above & ~stalled
+    return SolveResult(u.reshape(b.shape), cycles.reshape(stacking),
+                       status.reshape(stacking))

@@ -9,19 +9,31 @@ one to its successor: its fine and coarsest final-node values and its
 converged flag.  A rank freezes once it and its predecessor have
 converged; it then stops, and its successor keeps the last values.
 
-Each rank's part of a block is written once, as the generator
-`_rank_steps`.  A block runs on `workers` threads, each stepping a
-contiguous group of ranks' generators in one round robin; the calling
-thread runs the first group.  The serial executor is one worker, whose
-round robin over all ranks fixes the normative message schedule; the
-threaded executor has min(p, cores) workers.  All exchange messages
-through the same FIFO channel from each rank to its successor, so they
-produce bitwise-identical iterates.
+A block holds each level's node states for all its ranks in one
+node-first array, (node, rank, *grid), and ranks that do the same work
+at the same time run as one batched call on a contiguous slice of it;
+every layer below gives each rank the bits it gets alone.  The ranks
+are split into `workers` contiguous groups, one thread each (the calling
+thread runs the first), and each group runs `_run_group`:
+
+- the predictor as wavefronts: phase j of rank r needs its
+  predecessor's phase j and its own phase j - 1, so wavefront w burns in
+  phase w - r of every rank r of the group in one call;
+- the predictor's interpolation to the fine levels, once for the group;
+- the iteration rounds: in round j every running rank r runs its
+  iteration j - r from messages of round j - 1, so the running ranks,
+  a contiguous range, iterate in one call.
+
+The serial executor is one group; the threaded executor has min(p,
+cores).  Every rank sends and receives the same messages through the
+same FIFO channel from each rank to its successor, however the ranks are
+grouped, so both produce bitwise-identical iterates.
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 import queue
 import threading
@@ -31,7 +43,7 @@ import numpy as np
 
 from .hierarchy import (Level, TimeStep, burn_in, check_hierarchy,
                         interpolate_up, mlsdc_iteration)
-from .sdc import residual
+from .sdc import NodeStates, residual
 
 EXECUTORS = ("serial", "threaded")
 
@@ -130,7 +142,10 @@ class _Exchange(list):
 
 
 class _BlockEngine:
-    """Shared state and per-rank procedures for one block of steps."""
+    """Shared state and batched procedures for one block of steps.
+
+    Each procedure runs a contiguous range of ranks, first..stop-1, as one
+    batch: a view of the block's rank-axis arrays."""
 
     def __init__(self, levels, dt, tol, max_iter, exchange, u0, p,
                  record_final_values=False):
@@ -141,12 +156,13 @@ class _BlockEngine:
         self.exchange = exchange
         self.p = p
         # every rank starts from the same spread, which stays read-only
-        self.spread = TimeStep.spread(levels, u0).states
+        self.spread = TimeStep.spread(levels, u0[None]).states
         for states in self.spread:
             states.y.flags.writeable = states.f.flags.writeable = False
-        self.steps = [TimeStep(levels, [s.copy() for s in self.spread],
-                               [None] * len(levels)) for _ in range(p)]
-        self.vcycles = [0] * p
+        # each level's node states of all ranks, (node, rank, *grid)
+        self.states = [NodeStates(s.table, s.y.repeat(p, axis=1),
+                                  s.f.repeat(p, axis=1)) for s in self.spread]
+        self.vcycles = np.zeros(p, int)
         self.iterations = [0] * p
         self.converged = [False] * p
         # per rank: the last (fine, coarsest) values received, and the
@@ -157,6 +173,13 @@ class _BlockEngine:
         self.record_final_values = record_final_values
         self.final_values: list[np.ndarray] = []
         self._lock = threading.Lock()
+
+    def ranks(self, first: int, stop: int) -> TimeStep:
+        """The steps of ranks first..stop-1, as views of the block's
+        arrays."""
+        return TimeStep(self.levels, [
+            NodeStates(s.table, s.y[:, first:stop], s.f[:, first:stop])
+            for s in self.states])
 
     def send(self, rank: int, tag, payload) -> None:
         if rank + 1 < self.p:  # the last rank has no successor
@@ -175,83 +198,102 @@ class _BlockEngine:
 
     # ------------------------------------------------------------------
     # predictor
-    def predictor_phase(self, rank: int, phase: int) -> None:
-        ts = self.steps[rank]
-        coarsest = len(self.levels) - 1
-        if coarsest == 0:
-            return  # one level (SDC): nothing coarser to burn in on
-        if phase < rank:
-            # at phase == rank the predecessor's predictor has ended, and
-            # the value received at phase rank - 1 is still the coarsest
-            # node 0
-            ts.states[coarsest].y[0] = self.exchange[rank - 1].recv(
-                ("pred", phase))
-        self.vcycles[rank] += burn_in(ts, self.dt)
-        self.send(rank, ("pred", phase), ts.states[coarsest].y[-1].copy())
+    def predictor_phase(self, first: int, stop: int, wave: int) -> None:
+        """Wavefront `wave` of the predictor: each rank r burns in its
+        phase wave - r, from its predecessor's phase of the wavefront
+        before."""
+        ts = self.ranks(first, stop)
+        coarsest = ts.states[-1].y
+        for rank in range(first, stop):
+            phase = wave - rank
+            if phase < rank:
+                # at phase == rank the predecessor's predictor has ended,
+                # and the value received at phase rank - 1 is still the
+                # coarsest node 0
+                coarsest[0, rank - first] = self.exchange[rank - 1].recv(
+                    ("pred", phase))
+        self.vcycles[first:stop] += burn_in(ts, self.dt)
+        for rank in range(first, stop):
+            self.send(rank, ("pred", wave - rank),
+                      coarsest[-1, rank - first].copy())
 
-    def predictor_finalize(self, rank: int) -> None:
-        if len(self.levels) == 1:
-            return  # nothing was burnt in
-        interpolate_up(self.steps[rank], self.spread)
+    def predictor_finalize(self, first: int, stop: int) -> None:
+        interpolate_up(self.ranks(first, stop), self.spread)
 
     # ------------------------------------------------------------------
     # main iteration
-    def rank_iteration(self, rank: int, k: int, block: int) -> bool:
-        """One PFASST iteration of one rank; returns the converged flag."""
-        ts = self.steps[rank]
-        coarse_y0 = None
-        if rank > 0:
-            ts.states[0].y[0], coarse_y0 = self.receive(rank, k)
-        cycles = mlsdc_iteration(ts, self.dt, coarse_y0)
+    def rank_iteration(self, first: int, stop: int, j: int,
+                       block: int) -> int:
+        """Round j of the PFASST iteration: each rank r runs its iteration
+        j - r.  Returns how many of the first ranks froze; no other rank
+        can, as a rank converges only once its predecessor has frozen."""
+        ts = self.ranks(first, stop)
+        fine, coarsest = ts.states[0].y, ts.states[-1].y
+        coarse_y0 = []
+        for rank in range(max(first, 1), stop):
+            fine[0, rank - first], coarse = self.receive(rank, j - rank)
+            coarse_y0.append(coarse)
+        cycles = mlsdc_iteration(ts, self.dt,
+                                 np.array(coarse_y0) if coarse_y0 else None)
         res = residual(ts.states[0], self.dt)
-        converged = res <= self.tol and self.pred_frozen_at[rank] <= k
-        fine = ts.states[0].y[-1].copy()
-        self.send(rank, ("it", k),
-                  (fine, ts.states[-1].y[-1].copy(), converged))
+        converged = [bool(res[i] <= self.tol
+                          and self.pred_frozen_at[rank] <= j - rank)
+                     for i, rank in enumerate(range(first, stop))]
+        for i, rank in enumerate(range(first, stop)):
+            self.send(rank, ("it", j - rank),
+                      (fine[-1, i].copy(), coarsest[-1, i].copy(),
+                       converged[i]))
+        self.vcycles[first:stop] += cycles
         with self._lock:
-            self.vcycles[rank] += cycles
-            self.iterations[rank] = k
-            self.converged[rank] = converged
-            self.trace.append(TraceRow(block, rank, k, 0, res, cycles))
-            if self.record_final_values and rank == self.p - 1:
-                self.final_values.append(fine)
-        return converged
+            for i, rank in enumerate(range(first, stop)):
+                self.iterations[rank] = j - rank
+                self.converged[rank] = converged[i]
+                self.trace.append(TraceRow(block, rank, j - rank, 0,
+                                           float(res[i]), int(cycles[i])))
+            if self.record_final_values and stop == self.p:
+                self.final_values.append(fine[-1, -1].copy())
+        frozen = 0
+        while frozen < len(converged) and converged[frozen]:
+            frozen += 1
+        return frozen
 
 
-def _rank_steps(engine: _BlockEngine, rank: int, block: int):
-    """One rank's part of a block: predictor phases 0..rank, then its
-    iterations.  Yields after each phase and each iteration; returns once
-    the rank freezes or has run max_iter iterations."""
-    for phase in range(rank + 1):
-        engine.predictor_phase(rank, phase)
-        yield
-    engine.predictor_finalize(rank)
-    for k in range(1, engine.max_iter + 1):
-        if engine.rank_iteration(rank, k, block):
+def _run_group(engine: _BlockEngine, block: int, first: int,
+               stop: int) -> None:
+    """Ranks first..stop-1 of a block: the predictor's wavefronts, then
+    the iteration rounds, each one batched call.  Returns once every rank
+    has frozen or run max_iter iterations, or another group has failed."""
+    aborted = engine.exchange.aborted
+    if len(engine.levels) > 1:  # one level (SDC): nothing to burn in on
+        # rank r runs phases 0..r, and phase j in wavefront r + j
+        for wave in range(first, 2 * stop - 1):
+            if aborted.is_set():
+                return
+            engine.predictor_phase(max(first, (wave + 1) // 2),
+                                   min(stop, wave + 1), wave)
+        engine.predictor_finalize(first, stop)
+    low = first  # the lowest rank still running
+    for j in itertools.count(first + 1):
+        # ranks below j - max_iter have run max_iter iterations, and rank
+        # r starts iterating in round r + 1
+        low = max(low, j - engine.max_iter)
+        if low >= stop or aborted.is_set():
             return
-        yield
+        low += engine.rank_iteration(low, min(stop, j), j, block)
 
 
 def _run_block(engine: _BlockEngine, block: int, workers: int) -> None:
-    """Runs the block on `workers` threads, each stepping the programs of a
-    contiguous group of ranks round robin, in rank order, until each has
-    returned; the calling thread runs the first group.  In round j a rank
-    r runs predictor phase j if j <= r, and its iteration j - r after
-    that, so a predecessor in its group has sent every message it reads:
-    in the same round (phase j) or in the round before (iteration j - r).
-    On one worker this is the normative message schedule.  A group that
-    raises stops the others, and the first such exception is raised here
-    after the join."""
+    """Runs the block on `workers` threads, each running `_run_group` on a
+    contiguous group of ranks; the calling thread runs the first group.
+    A group reads only messages its predecessor group sends, so none
+    waits for a later one.  A group that raises stops the others, and the
+    first such exception is raised here after the join."""
     exchange = engine.exchange
     failures: list[BaseException] = []
 
     def run(first: int, stop: int) -> None:
-        ranks = [_rank_steps(engine, r, block) for r in range(first, stop)]
-        done = object()
         try:
-            while ranks and not exchange.aborted.is_set():
-                ranks = [steps for steps in ranks
-                         if next(steps, done) is not done]
+            _run_group(engine, block, first, stop)
         except _Aborted:
             pass
         except BaseException as exc:  # re-raised in the calling thread
@@ -284,6 +326,8 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
     """
     check_hierarchy(levels)
     u0 = np.asarray(u0, dtype=np.float64)
+    if not 0.0 <= tol < np.inf:  # NaN fails every comparison
+        raise ValueError("tolerance must be finite and non-negative")
     if executor not in EXECUTORS:
         raise ValueError(f"unknown executor {executor!r}")
     if p < 1 or blocks < 1 or max_iter < 1:
@@ -299,9 +343,9 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
         engine = _BlockEngine(levels, dt, tol, max_iter, exchange, result.u,
                               p, record_final_values=record_final_values)
         _run_block(engine, block, workers)
-        result.u = engine.steps[-1].states[0].y[-1].copy()
+        result.u = engine.states[0].y[-1, -1].copy()
         result.rank_iterations.append(list(engine.iterations))
-        result.rank_vcycles.append(list(engine.vcycles))
+        result.rank_vcycles.append(engine.vcycles.tolist())
         result.converged.append(list(engine.converged))
         # threaded workers append trace rows in wall-clock order; normalize
         result.trace.extend(sorted(

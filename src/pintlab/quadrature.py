@@ -55,7 +55,9 @@ def node_dot(mat: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     The same product, bit for bit, as np.tensordot(mat, values, axes=(1, 0)),
     which flattens `values` to this 2D view and calls np.dot, but without
-    tensordot's per-call axis bookkeeping.
+    tensordot's per-call axis bookkeeping.  On node-first (node, rank,
+    *grid) arrays it is one product for all ranks, and each rank's columns
+    get the bits of that rank's own product.
     """
     return np.dot(mat, values.reshape(values.shape[0], -1)).reshape(
         mat.shape[:1] + values.shape[1:])

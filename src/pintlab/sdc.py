@@ -1,12 +1,14 @@
 """Single-level spectral deferred corrections with exact or inexact solves.
 
-Node states bundle the solution values Y at all nodes of one time step
-(node 0 holds the step's initial value) together with a cache of
-operator applications F = A*Y at the quadrature nodes 1..M only: column
-0 of Q is zero, so no integral reads A*Y at node 0.  The sweep solves
-one backward-Euler-type system per sub-step; how those systems are
-solved (direct, fixed V-cycle budget, or to tolerance) is a policy
-decision of the caller.
+Node states bundle the solution values Y at all nodes of the time steps
+of a batch of ranks (node 0 holds each step's initial value) together
+with a cache of operator applications F = A*Y at the quadrature nodes
+1..M only: column 0 of Q is zero, so no integral reads A*Y at node 0.
+The arrays are node-first, (node, rank, *grid), so one node's values of
+all ranks form one stack of grids, which every operator and solve takes
+in one call.  The sweep solves one backward-Euler-type system per
+sub-step; how those systems are solved (direct, fixed V-cycle budget, or
+to tolerance) is a policy decision of the caller.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ COLLOCATION_DOF_LIMIT = 50_000
 class NodeStates:
     """Solution values y at all M+1 nodes, and cached right-hand sides f at
     the M quadrature nodes: f[m] = A y[m + 1].  Node 0 carries no
-    quadrature weight, so its right-hand side is never kept."""
+    quadrature weight, so its right-hand side is never kept.  y has shape
+    (M + 1, ranks, *grid), f (M, ranks, *grid)."""
 
     __slots__ = ("table", "y", "f")
 
@@ -39,13 +42,11 @@ class NodeStates:
 
     @classmethod
     def spread(cls, op, table: QuadratureTable, y0: np.ndarray) -> "NodeStates":
-        """All nodes initialized with the initial value."""
+        """All nodes initialized with the initial values y0, one grid
+        per rank."""
         y = np.repeat(y0[None], table.m + 1, axis=0)
         f = np.repeat(op.apply(y0)[None], table.m, axis=0)
         return cls(table, y, f)
-
-    def copy(self) -> "NodeStates":
-        return NodeStates(self.table, self.y.copy(), self.f.copy())
 
     def refresh(self, op) -> None:
         for m in range(self.table.m):
@@ -54,7 +55,8 @@ class NodeStates:
 
 def collocation_solve(op, table: QuadratureTable, y0: np.ndarray,
                       dt: float) -> NodeStates:
-    """Dense solve of the collocation system; the ground-truth oracle."""
+    """Dense solve of the collocation system from one grid value y0; the
+    ground-truth oracle.  Returns the states of one rank."""
     dof = y0.size
     if (table.m + 1) * dof > COLLOCATION_DOF_LIMIT:
         raise ValueError(
@@ -63,7 +65,7 @@ def collocation_solve(op, table: QuadratureTable, y0: np.ndarray,
     system = np.eye((table.m + 1) * dof) - dt * np.kron(table.q, a)
     rhs = np.tile(y0.ravel(), table.m + 1)
     sol = np.linalg.solve(system, rhs)
-    y = sol.reshape((table.m + 1,) + y0.shape)
+    y = sol.reshape((table.m + 1, 1) + y0.shape)
     states = NodeStates(table, y, np.empty_like(y[1:]))
     states.refresh(op)
     return states
@@ -79,16 +81,20 @@ class SubStepError(RuntimeError):
 
 
 def sdc_sweep(states: NodeStates, dt: float, op, mg_cfg: MgConfig,
-              policy: SolvePolicy, tau: np.ndarray | None = None) -> int:
-    """One sweep through the sub-steps from node 0's value, in place.
-    Returns V-cycles used.
+              policy: SolvePolicy,
+              tau: np.ndarray | None = None) -> np.ndarray:
+    """One sweep through the sub-steps from node 0's value, in place, for
+    every rank of the states.  Returns the V-cycles each rank used.
 
     Each implicit system is warm-started with the previous iterate of the
     node being updated.
     """
     # node-to-node integrals of the previous iterate, computed up front
-    s = dt * node_dot(states.table.step_weights, states.f)
-    cycles = 0
+    # (scaled in place: these node-first arrays of all ranks are a sweep's
+    # largest temporaries)
+    s = node_dot(states.table.step_weights, states.f)
+    s *= dt
+    cycles = np.zeros(states.y.shape[1], int)
     for m, gamma in enumerate(states.table.gammas):
         dtm = gamma * dt
         rhs = states.y[m] - dtm * states.f[m] + s[m]
@@ -96,8 +102,8 @@ def sdc_sweep(states: NodeStates, dt: float, op, mg_cfg: MgConfig,
             rhs = rhs + (tau[m + 1] - tau[m])
         shifted = multigrid.shifted_operator(op, dtm)
         try:
-            result = multigrid.solve(shifted, states.y[m + 1].copy(), rhs,
-                                     mg_cfg, policy)
+            result = multigrid.solve(shifted, states.y[m + 1], rhs, mg_cfg,
+                                     policy)
         except MultigridError as exc:
             raise SubStepError(m + 1, exc) from exc
         states.y[m + 1] = result.u
@@ -106,10 +112,16 @@ def sdc_sweep(states: NodeStates, dt: float, op, mg_cfg: MgConfig,
     return cycles
 
 
-def residual(states: NodeStates, dt: float) -> float:
-    """Max over nodes of the max-norm of the collocation residual."""
-    r = states.y[0] + dt * node_dot(states.table.weights, states.f) - states.y
-    return float(np.max(np.abs(r)))
+def residual(states: NodeStates, dt: float) -> np.ndarray:
+    """Per rank, the max over nodes of the max-norm of the collocation
+    residual."""
+    # y[0] + dt * (Q F) - y, in place in one temporary
+    r = node_dot(states.table.weights, states.f)
+    r *= dt
+    r += states.y[0]
+    r -= states.y
+    np.abs(r, out=r)
+    return np.max(r.reshape(r.shape[:2] + (-1,)), axis=(0, 2))
 
 
 def run_sdc(op, table: QuadratureTable, u0: np.ndarray, t_end: float,

@@ -3,7 +3,8 @@
 Interior-only arrays: fine index i = 1..nf-1 sits at array position i-1,
 coarse index j corresponds to fine index 2j.  Injection is a slice; every
 other transfer is a cached, read-only 1D matrix per grid size, applied
-along each axis by `heat.along_axis`, as the heat operator applies its own.
+along each of the trailing `dim` grid axes by `heat.along_axis`, as the
+heat operator applies its own; leading axes stack independent grids.
 """
 
 from __future__ import annotations
@@ -54,29 +55,32 @@ def _full_weighting_matrix(nf: int) -> np.ndarray:
     return mat
 
 
-def inject(u: np.ndarray) -> np.ndarray:
-    """Pointwise restriction: coarse point takes the coincident fine value."""
-    return u[(slice(1, None, 2),) * u.ndim]
+def inject(u: np.ndarray, dim: int) -> np.ndarray:
+    """Pointwise restriction: coarse point takes the coincident fine value.
+    The trailing `dim` axes of `u` are the grid; leading axes stack grids."""
+    return u[(Ellipsis,) + (slice(1, None, 2),) * dim]
 
 
-def full_weighting(u: np.ndarray) -> np.ndarray:
+def full_weighting(u: np.ndarray, dim: int) -> np.ndarray:
     """Full-weighting restriction, (1, 2, 1)/4 per dimension."""
-    for axis in range(u.ndim):
-        u = along_axis(_full_weighting_matrix(u.shape[axis] + 1), u, axis)
+    for axis in range(dim):
+        u = along_axis(_full_weighting_matrix(u.shape[axis - dim] + 1), u,
+                       axis, dim)
     return u
 
 
-def _interp(u: np.ndarray, order: int) -> np.ndarray:
-    for axis in range(u.ndim):
-        u = along_axis(_interp_matrix(2 * (u.shape[axis] + 1), order), u, axis)
+def _interp(u: np.ndarray, dim: int, order: int) -> np.ndarray:
+    for axis in range(dim):
+        u = along_axis(_interp_matrix(2 * (u.shape[axis - dim] + 1), order),
+                       u, axis, dim)
     return u
 
 
-def interp_linear(u: np.ndarray) -> np.ndarray:
+def interp_linear(u: np.ndarray, dim: int) -> np.ndarray:
     """Linear interpolation to the factor-2 finer grid (zero boundaries)."""
-    return _interp(u, 2)
+    return _interp(u, dim, 2)
 
 
-def interp_cubic(u: np.ndarray) -> np.ndarray:
+def interp_cubic(u: np.ndarray, dim: int) -> np.ndarray:
     """Cubic (4th-order) interpolation to the factor-2 finer grid."""
-    return _interp(u, 4)
+    return _interp(u, dim, 4)

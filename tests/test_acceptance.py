@@ -111,7 +111,7 @@ def test_criterion_3_sweep_contraction_matches_damping():
         op = scalar_operator(z)
         y0 = np.array([1.0])
         exact = collocation_solve(op, table, y0, 1.0)
-        states = NodeStates.spread(op, table, y0)
+        states = NodeStates.spread(op, table, y0[None])  # one rank
         errs = []
         for _ in range(30):
             sdc_sweep(states, 1.0, op, MgConfig(), Direct())
@@ -270,9 +270,9 @@ def test_criterion_8_fas_oracle():
     m1 = coarse.table.m + 1
     dof = coarse.grid.dof
     system = np.eye(m1 * dof) - dt * np.kron(coarse.table.q, a)
-    rhs = np.tile(restricted.y[0], m1) + tau.ravel()
+    rhs = np.tile(restricted.y[0, 0], m1) + tau.ravel()
     sol = np.linalg.solve(system, rhs).reshape(m1, dof)
-    gap = float(np.max(np.abs(sol - restricted.y)))
+    gap = float(np.max(np.abs(sol - restricted.y[:, 0])))
     elapsed = time.monotonic() - start
     ok = gap < 1e-10 and elapsed < 1.0
     verdict(8, ok, f"tau-corrected coarse vs restricted fine collocation "

@@ -39,10 +39,10 @@ class TestIterationMatrix:
         op = scalar_operator(lam)
         y0 = np.array([1.0])
         exact = collocation_solve(op, table, y0, dt)
-        states = NodeStates.spread(op, table, y0)
-        e0 = (states.y - exact.y)[:, 0]
+        states = NodeStates.spread(op, table, y0[None])
+        e0 = (states.y - exact.y)[:, 0, 0]
         sdc_sweep(states, dt, op, MgConfig(), Direct())
-        e1 = (states.y - exact.y)[:, 0]
+        e1 = (states.y - exact.y)[:, 0, 0]
         predicted = iteration_matrix(table, lam * dt) @ e0
         np.testing.assert_allclose(e1, predicted, atol=10 * np.finfo(float).eps)
 

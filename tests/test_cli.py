@@ -1,6 +1,7 @@
 """Tests for configuration parsing and the command-line drivers."""
 
 import csv
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -386,6 +387,20 @@ class TestOrderStudy:
         assert sorted({table.m for _, table, *_ in seen}) == [1, 2, 4, 8]
         assert {(mg.smoother, policy) for *_, mg, policy in seen} == {
             (cfg.smoother, FixedCycles(2))}
+
+
+    def test_preset_tolerance_is_reachable_at_order_8(self):
+        # the first steps of the order-8 runs stall at a residual floor of
+        # about eps * dt * |A|: 1.36e-11 to 1.41e-11 for dt = 1/2 to 1/8 at
+        # n_x = 128, where an earlier tol of 1e-11 left them exhausted
+        cfg = parse_config(None, {}, experiment="order-study",
+                           **PRESETS["order-study"])
+        [lvl] = build_levels(replace(cfg, nodes=(9,)))
+        u0 = initial_condition(lvl.grid, cfg.k)
+        for n_t in (2, 4, 8):
+            res = cli.run_sdc(lvl.operator, lvl.table, u0, cfg.t_end, n_t,
+                              cfg.tol, cfg.max_iter, lvl.mg_cfg, lvl.policy)
+            assert res.exhausted_steps == []
 
 
 class TestSingleRunBackwardEuler:

@@ -66,19 +66,19 @@ class TestRestriction:
     def test_restrict_state_selects_nodes_and_coarsens(self):
         fine, coarse = make_level(16, 2), make_level(8, 1)
         u0 = initial_condition(fine.grid, 1)
-        ts = TimeStep.spread([fine, coarse], u0)
+        ts = TimeStep.spread([fine, coarse], u0[None])
         restricted = restrict_state(ts.states[0], fine, coarse)
-        assert restricted.y.shape == (2, 7)
-        assert restricted.f.shape == (1, 7)  # the one quadrature node
-        np.testing.assert_allclose(restricted.y[0], full_weighting(u0))
+        assert restricted.y.shape == (2, 1, 7)
+        assert restricted.f.shape == (1, 1, 7)  # the one quadrature node
+        np.testing.assert_allclose(restricted.y[0, 0], full_weighting(u0, 1))
 
     def test_injection_policy_respected(self):
         fine = make_level(16, 2, space_restrict="inject")
         coarse = make_level(8, 1)
         u0 = initial_condition(fine.grid, 1)
-        ts = TimeStep.spread([fine, coarse], u0)
+        ts = TimeStep.spread([fine, coarse], u0[None])
         restricted = restrict_state(ts.states[0], fine, coarse)
-        np.testing.assert_allclose(restricted.y[0], u0[1::2])
+        np.testing.assert_allclose(restricted.y[0, 0], u0[1::2])
 
 
 class TestFas:
@@ -100,10 +100,10 @@ class TestFas:
         m1 = coarse.table.m + 1
         dof = coarse.grid.dof
         system = np.eye(m1 * dof) - dt * np.kron(coarse.table.q, a)
-        y0c = restricted.y[0]
+        y0c = restricted.y[0, 0]
         rhs = np.tile(y0c, m1) + tau.ravel()
         sol = np.linalg.solve(system, rhs).reshape(m1, dof)
-        assert np.max(np.abs(sol - restricted.y)) < 1e-10
+        assert np.max(np.abs(sol - restricted.y[:, 0])) < 1e-10
 
     def test_zero_tau_on_identical_levels(self):
         # same grid, same nodes, same operator: FAS correction vanishes
@@ -117,7 +117,7 @@ class TestFas:
     def test_coarse_correction_zero_delta_is_noop(self):
         fine, coarse = make_level(16, 2), make_level(8, 1)
         u0 = initial_condition(fine.grid, 1)
-        ts = TimeStep.spread([fine, coarse], u0)
+        ts = TimeStep.spread([fine, coarse], u0[None])
         restricted = restrict_state(ts.states[0], fine, coarse)
         before = ts.states[0].y.copy()
         coarse_correction(ts.states[0], restricted.y, restricted, fine,
@@ -129,10 +129,10 @@ class TestMlsdcIteration:
     def test_single_level_equals_plain_sweep(self):
         lvl = make_level(16, 2)
         u0 = initial_condition(lvl.grid, 1)
-        ts = TimeStep.spread([lvl], u0)
+        ts = TimeStep.spread([lvl], u0[None])
         from pintlab.sdc import NodeStates, sdc_sweep
 
-        ref = NodeStates.spread(lvl.operator, lvl.table, u0)
+        ref = NodeStates.spread(lvl.operator, lvl.table, u0[None])
         sdc_sweep(ref, 0.02, lvl.operator, lvl.mg_cfg, lvl.policy)
         mlsdc_iteration(ts, 0.02)
         np.testing.assert_array_equal(ts.states[0].y, ref.y)
@@ -140,7 +140,7 @@ class TestMlsdcIteration:
     def test_residual_decreases(self):
         levels = [make_level(32, 2), make_level(16, 1)]
         u0 = initial_condition(levels[0].grid, 1)
-        ts = TimeStep.spread(levels, u0)
+        ts = TimeStep.spread(levels, u0[None])
         dt = 0.02
         prev = residual(ts.states[0], dt)
         for _ in range(4):
@@ -154,7 +154,7 @@ class TestMlsdcIteration:
         u0 = initial_condition(levels[0].grid, 1)
         dt = 0.02
         exact = collocation_solve(levels[0].operator, levels[0].table, u0, dt)
-        ts = TimeStep.spread(levels, u0)
+        ts = TimeStep.spread(levels, u0[None])
         for _ in range(25):
             mlsdc_iteration(ts, dt)
         assert np.max(np.abs(ts.states[0].y - exact.y)) < 1e-11

@@ -532,16 +532,17 @@ class TestTransfersMatchSliceFormulas:
     @pytest.mark.parametrize("dim,n", TRANSFER_SIZES)
     def test_restrictions(self, dim, n):
         u = np.random.default_rng(n + dim).standard_normal((n - 1,) * dim)
-        np.testing.assert_array_equal(transfers.inject(u), ref_inject(u))
-        assert_within_ulps(transfers.full_weighting(u), ref_full_weighting(u),
+        np.testing.assert_array_equal(transfers.inject(u, dim), ref_inject(u))
+        assert_within_ulps(transfers.full_weighting(u, dim),
+                           ref_full_weighting(u),
                            ref_full_weighting(np.abs(u)), 4 * dim)
 
     @pytest.mark.parametrize("dim,n", TRANSFER_SIZES)
     def test_interpolations(self, dim, n):
         u = np.random.default_rng(n + dim).standard_normal((n // 2 - 1,) * dim)
-        np.testing.assert_array_equal(transfers.interp_linear(u),
+        np.testing.assert_array_equal(transfers.interp_linear(u, dim),
                                       ref_interp_linear(u))
-        assert_within_ulps(transfers.interp_cubic(u), ref_interp_cubic(u),
+        assert_within_ulps(transfers.interp_cubic(u, dim), ref_interp_cubic(u),
                            ref_interp_cubic(np.abs(u), absolute=True), 6 * dim)
 
     @pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128])
@@ -560,7 +561,7 @@ class TestTransfersRoundTrip:
     def test_restrict_interp_preserves_smooth_data(self, dim):
         g = Grid(dim, 16)
         u = np.ones(g.shape)
-        round_trip = interp_linear(full_weighting(u))
+        round_trip = interp_linear(full_weighting(u, dim), dim)
         # interior of the round trip reproduces constants exactly
         inner = (slice(2, -2),) * dim
         np.testing.assert_allclose(round_trip[inner], 1.0, atol=1e-12)
@@ -662,6 +663,13 @@ class TestConfigValidation:
             ToTolerance(tol=float("inf"))
         with pytest.raises(ValueError):
             ToTolerance(stall=1.5)
+
+    @pytest.mark.parametrize("max_cycles", [0, -1])
+    def test_tolerance_needs_a_cycle(self, max_cycles):
+        # with no V-cycle allowed, every solve that starts above the
+        # tolerance used to raise MultigridError
+        with pytest.raises(ValueError, match="V-cycle"):
+            ToTolerance(max_cycles=max_cycles)
 
 
 def _lru_caches():

@@ -16,9 +16,9 @@ from pintlab.heat import Grid, HeatOperator, initial_condition, scalar_operator
 from pintlab.hierarchy import Level, TimeStep, interpolate_up, mlsdc_iteration
 from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
 from pintlab.pfasst import (PfasstResult, _BlockEngine, _Channel, _Exchange,
-                            _rank_steps, _run_block, pfasst_run)
+                            _run_block, pfasst_run)
 from pintlab.quadrature import uniform_table
-from pintlab.sdc import SubStepError, residual, run_sdc, sdc_sweep
+from pintlab.sdc import NodeStates, SubStepError, residual, run_sdc, sdc_sweep
 
 
 def make_levels(n=32, policy=None, dim=1):
@@ -64,16 +64,22 @@ PIPELINE_CASES = {
 
 
 def phase_major_serial(engine, block):
-    """The serial schedule that one round robin replaced, kept as a
-    reference: predictor phase j runs on ranks j..p-1, and only then does
-    each round run one iteration of every rank still running."""
-    ranks = [_rank_steps(engine, r, block) for r in range(engine.p)]
-    for phase in range(engine.p):
-        for steps in ranks[phase:]:
-            next(steps)
-    done = object()
-    while ranks:
-        ranks = [steps for steps in ranks if next(steps, done) is not done]
+    """The engine's steps one rank at a time, in the phase-major serial
+    schedule, kept as a reference: predictor phase j runs on ranks
+    j..p-1 (rank r's phase j is wavefront r + j), and then each round
+    runs iteration k of every rank still running, in rank order (rank r's
+    iteration k is round r + k)."""
+    p = engine.p
+    if len(engine.levels) > 1:
+        for phase in range(p):
+            for r in range(phase, p):
+                engine.predictor_phase(r, r + 1, r + phase)
+        for r in range(p):
+            engine.predictor_finalize(r, r + 1)
+    running = list(range(p))
+    for k in range(1, engine.max_iter + 1):
+        running = [r for r in running
+                   if not engine.rank_iteration(r, r + 1, r + k, block)]
 
 
 def assert_bitwise_equal(a, b):
@@ -115,14 +121,17 @@ class TestEquivalences:
     @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
     def test_round_robin_equals_phase_major_schedule(self, case,
                                                      monkeypatch):
-        # every rank reads the same messages in the same order under both
-        # serial schedules, so they give the same bits
+        # every rank reads the same messages in the same order under the
+        # batched schedule and the rank-by-rank one, and the batched
+        # layers give each rank its own bits, so both give the same bits
+        # (and so does the threaded executor, which equals the serial one
+        # above)
         levels, u0, t_end, kwargs, rank_iterations = PIPELINE_CASES[case]()
         a = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
         monkeypatch.setattr(pfasst, "_run_block", lambda engine, block, _:
                             phase_major_serial(engine, block))
         b = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
-        assert a.rank_iterations == rank_iterations
+        assert b.rank_iterations == rank_iterations
         assert_bitwise_equal(a, b)
 
     @pytest.mark.parametrize("executor", ["serial", "threaded"])
@@ -183,24 +192,27 @@ def reference_mlsdc(levels, u0, t_end, n_steps, tol, max_iter):
     out = SimpleNamespace(iterations=[], residuals=[], vcycles=0,
                           exhausted_steps=[])
     for step in range(n_steps):
-        ts = TimeStep.spread(levels, u)
+        ts = TimeStep.spread(levels, u[None])  # one rank
         if len(levels) > 1:
-            spread_copies = [s.copy() for s in ts.states]
+            spread_copies = [NodeStates(s.table, s.y.copy(), s.f.copy())
+                             for s in ts.states]
             lc = len(levels) - 1
-            out.vcycles += sdc_sweep(ts.states[lc], dt, levels[lc].operator,
-                                     levels[lc].mg_cfg, levels[lc].policy)
+            out.vcycles += int(sdc_sweep(ts.states[lc], dt,
+                                         levels[lc].operator,
+                                         levels[lc].mg_cfg,
+                                         levels[lc].policy)[0])
             interpolate_up(ts, spread_copies)
         history = []
         for _ in range(max_iter):
-            out.vcycles += mlsdc_iteration(ts, dt)
-            history.append(residual(ts.states[0], dt))
+            out.vcycles += int(mlsdc_iteration(ts, dt)[0])
+            history.append(float(residual(ts.states[0], dt)[0]))
             if history[-1] <= tol:
                 break
         else:
             out.exhausted_steps.append(step)
         out.iterations.append(len(history))
         out.residuals.append(history)
-        u = ts.states[0].y[-1].copy()
+        u = ts.states[0].y[-1, 0].copy()
     out.u = u
     return out
 
@@ -319,16 +331,23 @@ class TestConvergenceBookkeeping:
 class TestOperatorApplies:
     def test_weak_scaling_apply_count(self, monkeypatch):
         # the ipfasst-1d benchmark configuration; node 0 carries no
-        # quadrature weight, so no apply at node 0 belongs in this count
+        # quadrature weight, so no apply at node 0 belongs in this count.
+        # Each call applies the operator to a stack of grids: count the
+        # grids (rows), and the calls beside them
         levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
                                                 n_t=32, p=32)
-        calls = []
+        rows = []
         apply = HeatOperator.apply
-        monkeypatch.setattr(HeatOperator, "apply",
-                            lambda self, u: calls.append(1) or apply(self, u))
+
+        def counting_apply(self, u):
+            rows.append(u.size // self.grid.dof)
+            return apply(self, u)
+
+        monkeypatch.setattr(HeatOperator, "apply", counting_apply)
         res = pfasst_run(levels, u0, t_end, **kwargs)
         assert res.iterations[-1] == 9
-        assert len(calls) == 37_781
+        assert sum(rows) == 37_781
+        assert len(rows) == 5_580
 
 
 class TestPredictor:
@@ -345,10 +364,10 @@ class TestPredictor:
         seen = []
         finalize = _BlockEngine.predictor_finalize
 
-        def recording_finalize(engine, rank):
-            finalize(engine, rank)
-            if rank == 0:
-                seen.append(engine.steps[0].states[0].y[0].copy())
+        def recording_finalize(engine, first, stop):
+            finalize(engine, first, stop)
+            if first == 0:
+                seen.append(engine.states[0].y[0, 0].copy())
 
         monkeypatch.setattr(_BlockEngine, "predictor_finalize",
                             recording_finalize)
@@ -419,6 +438,18 @@ class TestValidation:
             deadline(pfasst_run, levels, u0, t_end, p=2, max_iter=2,
                      executor=executor)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+    def test_rejects_bad_tolerance(self, tol):
+        # a NaN tolerance ran every rank to max_iter and reported it
+        # unconverged, with no error
+        levels = make_levels()
+        u0 = initial_condition(levels[0].grid, 1)
+        with pytest.raises(ValueError, match="tolerance"):
+            pfasst_run(levels, u0, 0.25, p=2, tol=tol, max_iter=2)
+        with pytest.raises(ValueError, match="tolerance"):
+            run_sdc(scalar_operator(-1.0), uniform_table(2), np.array([1.0]),
+                    1.0, 2, tol, 3, MgConfig(), Direct())
+
     @pytest.mark.parametrize("max_iter", [0, -3])
     def test_run_sdc_rejects_fewer_than_one_iteration(self, max_iter):
         op = scalar_operator(-1.0)
@@ -479,7 +510,8 @@ class TestExchange:
 
 
 class TestSharedSpread:
-    """Every rank of a block starts from copies of one read-only spread."""
+    """Every rank of a block starts from a copy of one read-only spread,
+    held in one rank-axis array per level and field."""
 
     @staticmethod
     def arrays(states):
@@ -488,13 +520,11 @@ class TestSharedSpread:
     def assert_private(self, engine):
         assert not any(a.flags.writeable
                        for a in self.arrays(engine.spread))
-        rank_arrays = [self.arrays(ts.states) for ts in engine.steps]
-        for rank, own in enumerate(rank_arrays):
-            others = self.arrays(engine.spread) + [
-                b for r, theirs in enumerate(rank_arrays) if r != rank
-                for b in theirs]
-            assert not any(np.shares_memory(a, b)
-                           for a in own for b in others)
+        own = self.arrays(engine.states)
+        assert all(a.shape[1] == engine.p for a in own)
+        for i, a in enumerate(own):
+            others = self.arrays(engine.spread) + own[:i] + own[i + 1:]
+            assert not any(np.shares_memory(a, b) for b in others)
 
     @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "threaded"])
     def test_spread_is_read_only_and_never_shared(self, workers, deadline):
@@ -508,7 +538,7 @@ class TestSharedSpread:
         assert [engine.iterations] == pfasst_run(
             levels, u0, t_end, **kwargs).rank_iterations
         self.assert_private(engine)
-        fresh = TimeStep.spread(levels, u0).states
+        fresh = TimeStep.spread(levels, u0[None]).states
         for a, b in zip(self.arrays(engine.spread), self.arrays(fresh)):
             np.testing.assert_array_equal(a, b)
 
@@ -558,9 +588,10 @@ class TestWorkers:
         owners = {}
         iteration = _BlockEngine.rank_iteration
 
-        def recording_iteration(engine, rank, k, block):
-            owners.setdefault(threading.get_ident(), set()).add(rank)
-            return iteration(engine, rank, k, block)
+        def recording_iteration(engine, first, stop, j, block):
+            owners.setdefault(threading.get_ident(), set()).update(
+                range(first, stop))
+            return iteration(engine, first, stop, j, block)
 
         monkeypatch.setattr(_BlockEngine, "rank_iteration",
                             recording_iteration)
@@ -585,18 +616,19 @@ class TestWorkers:
     def test_failing_rank_stops_every_worker(self, deadline, monkeypatch):
         # groups [0, 2), [2, 5) and [5, 8): rank 2 fails in its first
         # iteration while rank 1 waits for the abort before its second.
-        # The last group waits for predictor messages that never come, so
+        # The last group waits for iteration messages that never come, so
         # the run returns only if the abort stops both other groups.
         last = {}
         iteration = _BlockEngine.rank_iteration
 
-        def failing_iteration(engine, rank, k, block):
-            if rank == 2:
+        def failing_iteration(engine, first, stop, j, block):
+            if first <= 2 < stop:
                 raise RuntimeError("rank 2 failed")
-            if rank == 1 and k == 2:
+            if first <= 1 < stop and j - 1 == 2:
                 engine.exchange.aborted.wait(timeout=30)
-            last[rank] = k
-            return iteration(engine, rank, k, block)
+            for rank in range(first, stop):
+                last[rank] = j - rank
+            return iteration(engine, first, stop, j, block)
 
         monkeypatch.setattr(_BlockEngine, "rank_iteration",
                             failing_iteration)

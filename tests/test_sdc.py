@@ -20,21 +20,14 @@ from pintlab.sdc import (
 class TestNodeStates:
     def test_spread_replicates_initial_value(self):
         op = scalar_operator(-2.0)
-        states = NodeStates.spread(op, uniform_table(3), np.array([1.5]))
-        assert states.y.shape == (4, 1) and states.f.shape == (3, 1)
+        states = NodeStates.spread(op, uniform_table(3), np.array([[1.5]]))
+        assert states.y.shape == (4, 1, 1) and states.f.shape == (3, 1, 1)
         np.testing.assert_array_equal(states.y, 1.5)
         np.testing.assert_array_equal(states.f, -3.0)
 
-    def test_copy_is_independent(self):
-        op = scalar_operator(-1.0)
-        states = NodeStates.spread(op, uniform_table(2), np.array([1.0]))
-        other = states.copy()
-        other.y[1] = 7.0
-        assert states.y[1] == 1.0
-
     def test_refresh_recomputes_f(self):
         op = scalar_operator(-3.0)
-        states = NodeStates.spread(op, uniform_table(2), np.array([1.0]))
+        states = NodeStates.spread(op, uniform_table(2), np.array([[1.0]]))
         states.y[:] = 2.0
         states.refresh(op)
         np.testing.assert_array_equal(states.f, -6.0)
@@ -45,12 +38,12 @@ class TestNodeStates:
         op = HeatOperator(Grid(1, 16), 1.0, 2)
         u0 = initial_condition(op.grid, 1)
         table = uniform_table(3)
-        spread = NodeStates.spread(op, table, u0)
+        spread = NodeStates.spread(op, table, u0[None])
         exact = collocation_solve(op, table, u0, 0.05)
-        swept = NodeStates.spread(op, table, u0)
+        swept = NodeStates.spread(op, table, u0[None])
         sdc_sweep(swept, 0.05, op, MgConfig(), Direct())
         for states in (spread, exact, swept):  # exact is built by refresh
-            assert states.f.shape == (3, 15)
+            assert states.f.shape == (3, 1, 15)
             np.testing.assert_array_equal(
                 states.f, [op.apply(y) for y in states.y[1:]])
 
@@ -67,7 +60,7 @@ class TestCollocationOracle:
         table = uniform_table(4)
         states = collocation_solve(op, table, np.array([1.0]), 0.1)
         exact = np.exp(-2.0 * 0.1 * np.array(table.nodes.nodes, dtype=float))
-        np.testing.assert_allclose(states.y[:, 0], exact, atol=1e-9)
+        np.testing.assert_allclose(states.y[:, 0, 0], exact, atol=1e-9)
 
     def test_residual_of_collocation_solution_vanishes(self):
         g = Grid(1, 8)
@@ -95,7 +88,7 @@ class TestSweep:
 
     def test_zero_dt_is_identity(self):
         op = scalar_operator(-5.0)
-        y0 = np.array([2.0])
+        y0 = np.array([[2.0]])  # one rank
         states = NodeStates.spread(op, uniform_table(2), y0)
         sdc_sweep(states, 0.0, op, MgConfig(), Direct())
         np.testing.assert_array_equal(states.y, 2.0)
@@ -109,7 +102,7 @@ class TestSweep:
         op = scalar_operator(lam)
         y0 = np.array([1.0])
         exact = collocation_solve(op, table, y0, dt)
-        states = NodeStates.spread(op, table, y0)
+        states = NodeStates.spread(op, table, y0[None])
         errs = []
         for _ in range(12):
             sdc_sweep(states, dt, op, MgConfig(), Direct())
@@ -123,7 +116,7 @@ class TestSweep:
     def test_sweep_applies_operator_once_per_substep(self, monkeypatch):
         op = HeatOperator(Grid(1, 16), 1.0, 2)
         states = NodeStates.spread(op, uniform_table(3),
-                                   initial_condition(op.grid, 1))
+                                   initial_condition(op.grid, 1)[None])
         calls = []
         apply = HeatOperator.apply
         monkeypatch.setattr(HeatOperator, "apply",
@@ -135,15 +128,15 @@ class TestSweep:
         g = Grid(1, 16)
         op = HeatOperator(g, 1.0, 2)
         u0 = initial_condition(g, 1)
-        states = NodeStates.spread(op, uniform_table(2), u0)
+        states = NodeStates.spread(op, uniform_table(2), u0[None])
         used = sdc_sweep(states, 0.01, op, MgConfig(), FixedCycles(2))
-        assert used == 2 * 2  # two sub-steps, two cycles each
+        assert used.tolist() == [2 * 2]  # two sub-steps, two cycles each
 
     def test_substep_error_annotated(self):
         g = Grid(1, 16)
         op = HeatOperator(g, 1.0, 2)
         u0 = initial_condition(g, 1)
-        states = NodeStates.spread(op, uniform_table(2), u0)
+        states = NodeStates.spread(op, uniform_table(2), u0[None])
         # stall factor near one keeps the healthy V-cycle from being
         # classified as stalled, so the cycle cap is what trips
         policy = ToTolerance(1e-15, stall=1.0 - 1e-12, max_cycles=1)
@@ -164,7 +157,7 @@ class TestResidual:
         g = Grid(1, 32)
         op = HeatOperator(g, 1.0, 2)
         u0 = initial_condition(g, 1)
-        states = NodeStates.spread(op, uniform_table(3), u0)
+        states = NodeStates.spread(op, uniform_table(3), u0[None])
         prev = residual(states, 0.02)
         for _ in range(5):
             sdc_sweep(states, 0.02, op, MgConfig(), Direct())
