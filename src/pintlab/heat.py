@@ -63,9 +63,6 @@ class Grid:
             raise ValueError(f"grid with n={self.n} cannot be coarsened")
         return Grid(self.dim, self.n // 2, self.length)
 
-    def zeros(self) -> np.ndarray:
-        return np.zeros(self.shape)
-
 
 def initial_condition(grid: Grid, k: int) -> np.ndarray:
     """Product of sine modes sin(k pi x / L) sampled at interior points."""

@@ -1,7 +1,9 @@
 """Multi-level SDC: level hierarchy, FAS corrections, and the V-shaped
 iteration over levels.
 
-Level transfers use pointwise node selection in time and, in space,
+The nodes are uniform, M per level, and a coarse level's nodes nest in
+the fine level's, so time restriction is a stride over the node axis.
+Level transfers use this pointwise node selection in time and, in space,
 either full-weighting (the default, which filters the high-wavenumber
 content that the fine operator would otherwise amplify into the FAS
 correction) or pointwise injection, on the way down; the way up combines
@@ -10,8 +12,8 @@ FAS corrections accumulate through the hierarchy so that every coarse
 equation stays consistent with the finest level.
 
 A time step here is a batch of ranks' steps: node states are node-first
-(node, rank, *grid) arrays, and every function acts on all ranks of the
-batch at once.
+(node, rank, *grid) arrays, and every function acts on all nodes and
+ranks of the batch at once, with one spatial transfer per level pair.
 """
 
 from __future__ import annotations
@@ -64,14 +66,15 @@ def check_hierarchy(levels: list[Level]) -> None:
             raise ValueError("coarse level may not have more nodes than fine")
         if coarse.operator.order > fine.operator.order:
             raise ValueError("coarse stencil order may not exceed fine")
-        time_restriction(fine.table.nodes, coarse.table.nodes)  # nesting
+        time_restriction(fine.table.m, coarse.table.m)  # nesting
 
 
 def restrict_space(u: np.ndarray, fine: Level, coarse: Level) -> np.ndarray:
+    """A new array, sharing no memory with `u`."""
     if coarse.grid.n == fine.grid.n:
         return u.copy()
     if fine.space_restrict == "inject":
-        return inject(u, fine.grid.dim)
+        return inject(u, fine.grid.dim).copy()
     return full_weighting(u, fine.grid.dim)
 
 
@@ -87,8 +90,9 @@ def restrict_state(fine_states: NodeStates, fine: Level,
                    coarse: Level) -> NodeStates:
     """Node selection in time, spatial restriction per the fine level's
     policy; the coarse f-cache is recomputed."""
-    idx = time_restriction(fine.table.nodes, coarse.table.nodes)
-    y = np.stack([restrict_space(fine_states.y[i], fine, coarse) for i in idx])
+    y = restrict_space(
+        fine_states.y[time_restriction(fine.table.m, coarse.table.m)],
+        fine, coarse)
     states = NodeStates(coarse.table, y, np.empty_like(y[1:]))
     states.refresh(coarse.operator)
     return states
@@ -104,9 +108,9 @@ def compute_fas(fine_states: NodeStates, coarse_states: NodeStates,
     fine_int *= dt
     if fine_tau is not None:
         fine_int += fine_tau
-    idx = time_restriction(fine.table.nodes, coarse.table.nodes)
-    restricted_int = np.stack(
-        [restrict_space(fine_int[i], fine, coarse) for i in idx])
+    restricted_int = restrict_space(
+        fine_int[time_restriction(fine.table.m, coarse.table.m)], fine,
+        coarse)
     coarse_int = dt * node_dot(coarse.table.weights, coarse_states.f)
     return restricted_int - coarse_int
 
@@ -116,12 +120,9 @@ def coarse_correction(fine_states: NodeStates, old_coarse_y: np.ndarray,
                       coarse: Level) -> None:
     """Interpolate the coarse update from the node values old_coarse_y onto
     the fine nodes, in place."""
-    delta = new_coarse.y - old_coarse_y
-    p_t = correction_interpolation(coarse.table.nodes, fine.table.nodes)
-    delta_t = node_dot(p_t, delta)
-    for m in range(fine.table.m + 1):
-        fine_states.y[m] = fine_states.y[m] + _space_interp(
-            delta_t[m], fine, coarse)
+    p_t = correction_interpolation(coarse.table.m, fine.table.m)
+    fine_states.y += _space_interp(
+        node_dot(p_t, new_coarse.y - old_coarse_y), fine, coarse)
     fine_states.refresh(fine.operator)
 
 

@@ -1,10 +1,14 @@
-"""Quadrature node sets, integration matrices, and time-direction transfers.
+"""Quadrature tables and time-direction transfers on uniform nodes.
 
-All temporal methods in this package are built on uniform nodes
-0 = t_0 < t_1 < ... < t_M = 1 with the quadrature weights supported on the
-right M nodes only (the left endpoint carries zero weight).  Weights are
-computed by exact integration of the Lagrange basis in rational arithmetic
-and rounded once, so polynomial exactness holds to machine precision.
+Every temporal method in this package runs on the uniform nodes
+t_i = i/M, i = 0..M, of each time step: uniform nodes, M per level, so a
+level's nodes are the one integer M.  The quadrature weights are
+supported on the right M nodes only (the left endpoint carries zero
+weight).  Weights are computed once per level by exact integration of the
+Lagrange basis in rational arithmetic and rounded once, so polynomial
+exactness holds to machine precision.  A coarse level's nodes nest in a
+finer level's when M_c divides M_f, and time restriction is then a
+stride: every (M_f / M_c)-th fine node.
 """
 
 from __future__ import annotations
@@ -14,40 +18,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class NodeSet:
-    """M+1 strictly increasing nodes on [0, 1] including both endpoints."""
-
-    nodes: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.nodes) < 2:
-            raise ValueError("a node set needs at least one sub-step (M >= 1)")
-        if self.nodes[0] != 0 or self.nodes[-1] != 1:
-            raise ValueError("nodes must start at 0 and end at 1")
-        if any(b <= a for a, b in zip(self.nodes, self.nodes[1:])):
-            raise ValueError("nodes must be strictly increasing")
-
-    @property
-    def m(self) -> int:
-        """Number of sub-steps."""
-        return len(self.nodes) - 1
-
-    @property
-    def gammas(self) -> tuple[Fraction, ...]:
-        """Sub-step fractions of the full step, gamma_m = t_m - t_{m-1}."""
-        return tuple(b - a for a, b in zip(self.nodes, self.nodes[1:]))
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.nodes)
-
-    def __hash__(self) -> int:
-        # the time-transfer caches hash their node sets on every lookup;
-        # hashing the Fractions each time dominated that lookup
-        return self._hash
 
 
 def node_dot(mat: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -61,13 +31,6 @@ def node_dot(mat: np.ndarray, values: np.ndarray) -> np.ndarray:
     """
     return np.dot(mat, values.reshape(values.shape[0], -1)).reshape(
         mat.shape[:1] + values.shape[1:])
-
-
-def uniform_nodes(m: int) -> NodeSet:
-    """Equispaced nodes t_i = i/m, i = 0..m."""
-    if m < 1:
-        raise ValueError(f"need at least one sub-step, got M={m}")
-    return NodeSet(tuple(Fraction(i, m) for i in range(m + 1)))
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -103,28 +66,29 @@ def _lagrange_basis(points: list[Fraction]) -> list[list[Fraction]]:
 
 @dataclass(frozen=True)
 class QuadratureTable:
-    """Integration matrix Q and backward-Euler sub-stepping matrix Q_I.
+    """Integration matrix Q and backward-Euler sub-stepping matrix Q_I on
+    the uniform nodes t_i = i/M, both read-only.
 
     Row m of Q holds weights q_{m,i} approximating the integral over
     [t_0, t_m]; row 0 and column 0 are identically zero.  Q_I holds the
-    gamma pattern: entry (m, i) = gamma_i for 1 <= i <= m.
+    gamma pattern: entry (m, i) = gamma = 1/M for 1 <= i <= m.
     """
 
-    nodes: NodeSet
+    m: int
     q: np.ndarray
     q_sub: np.ndarray
 
     @property
-    def m(self) -> int:
-        return self.nodes.m
+    def gamma(self) -> float:
+        """The sub-step fraction t_m - t_{m-1} = 1/M, the same for every
+        sub-step."""
+        return 1 / self.m
 
     @cached_property
     def weights(self) -> np.ndarray:
         """Read-only view of Q without its zero column 0: the weights on
         the quadrature nodes."""
-        w = self.q[:, 1:]
-        w.setflags(write=False)
-        return w
+        return self.q[:, 1:]
 
     @cached_property
     def step_weights(self) -> np.ndarray:
@@ -134,57 +98,42 @@ class QuadratureTable:
         w.setflags(write=False)
         return w
 
-    @cached_property
-    def gammas(self) -> tuple[float, ...]:
-        """The sub-step fractions gamma_1..gamma_M as floats."""
-        return tuple(float(g) for g in self.nodes.gammas)
 
-
-def build_q(nodes: NodeSet) -> QuadratureTable:
-    """Build Q by integrating the Lagrange basis on the right M nodes."""
-    m = nodes.m
-    basis = _lagrange_basis(list(nodes.nodes[1:]))
-    q = np.zeros((m + 1, m + 1))
-    for row in range(1, m + 1):
-        for i in range(1, m + 1):
-            q[row, i] = float(_poly_integral(basis[i - 1], nodes.nodes[row]))
-    q_sub = np.zeros((m + 1, m + 1))
-    gammas = nodes.gammas
-    for row in range(1, m + 1):
-        for i in range(1, row + 1):
-            q_sub[row, i] = float(gammas[i - 1])
-    return QuadratureTable(nodes=nodes, q=q, q_sub=q_sub)
+def _nodes(m: int) -> list[Fraction]:
+    return [Fraction(i, m) for i in range(m + 1)]
 
 
 def uniform_table(m: int) -> QuadratureTable:
-    """Shorthand for build_q(uniform_nodes(m))."""
-    return build_q(uniform_nodes(m))
+    """Q and Q_I on M = m sub-steps, by integrating the Lagrange basis on
+    the right M nodes in exact rational arithmetic."""
+    if m < 1:
+        raise ValueError(f"need at least one sub-step, got M={m}")
+    nodes = _nodes(m)
+    basis = _lagrange_basis(nodes[1:])
+    q = np.zeros((m + 1, m + 1))
+    for row in range(1, m + 1):
+        for i in range(1, m + 1):
+            q[row, i] = float(_poly_integral(basis[i - 1], nodes[row]))
+    q_sub = np.tril(np.full((m + 1, m + 1), 1 / m))
+    q_sub[0] = q_sub[:, 0] = 0.0
+    for mat in (q, q_sub):
+        mat.setflags(write=False)
+    return QuadratureTable(m=m, q=q, q_sub=q_sub)
 
 
-# Time transfers are cached per pair of node sets (a hierarchy has one
-# pair per adjacent levels) and returned read-only, since every caller
-# shares the same object.
-TRANSFER_CACHE_SIZE = 64
+def time_restriction(m_fine: int, m_coarse: int) -> slice:
+    """Pointwise selection in time: the stride that picks the fine node at
+    each coarse node.  Raises ValueError if the node sets do not nest."""
+    if m_coarse < 1 or m_fine % m_coarse:
+        raise ValueError(f"coarse nodes (M={m_coarse}) do not nest in "
+                         f"fine nodes (M={m_fine})")
+    return slice(None, None, m_fine // m_coarse)
 
 
-@lru_cache(maxsize=TRANSFER_CACHE_SIZE)
-def time_restriction(fine: NodeSet, coarse: NodeSet) -> tuple[int, ...]:
-    """Pointwise selection in time: the index of the fine node at each
-    coarse node.  Raises ValueError if the node sets are not nested."""
-    indices = []
-    for tc in coarse.nodes:
-        try:
-            indices.append(fine.nodes.index(tc))
-        except ValueError:
-            raise ValueError(
-                f"coarse node {tc} has no matching fine node; node sets are "
-                "not nested"
-            ) from None
-    return tuple(indices)
-
-
-@lru_cache(maxsize=TRANSFER_CACHE_SIZE)
-def correction_interpolation(coarse: NodeSet, fine: NodeSet) -> np.ndarray:
+# one entry per pair of adjacent levels; returned read-only, since every
+# caller shares the same matrix
+@lru_cache(maxsize=64)
+def correction_interpolation(m_coarse: int, m_fine: int) -> np.ndarray:
     """Interpolation matrix for node-value *corrections*.
 
     The interpolant for rows at quadrature nodes is built on the coarse
@@ -195,13 +144,11 @@ def correction_interpolation(coarse: NodeSet, fine: NodeSet) -> np.ndarray:
     damped.  Keeping the stencil on the quadrature nodes makes the
     correction asymptotically harmless for stiff modes.
     """
-    time_restriction(fine, coarse)  # nesting
-    basis = _lagrange_basis(list(coarse.nodes[1:]))
-    p = np.zeros((fine.m + 1, coarse.m + 1))
+    time_restriction(m_fine, m_coarse)  # nesting
+    basis = _lagrange_basis(_nodes(m_coarse)[1:])
+    p = np.zeros((m_fine + 1, m_coarse + 1))
     p[0, 0] = 1.0
-    for row, tf in enumerate(fine.nodes):
-        if row == 0:
-            continue
+    for row, tf in enumerate(_nodes(m_fine)[1:], start=1):
         for col, poly in enumerate(basis):
             acc = Fraction(0)
             power = Fraction(1)

@@ -6,9 +6,11 @@ with a cache of operator applications F = A*Y at the quadrature nodes
 1..M only: column 0 of Q is zero, so no integral reads A*Y at node 0.
 The arrays are node-first, (node, rank, *grid), so one node's values of
 all ranks form one stack of grids, which every operator and solve takes
-in one call.  The sweep solves one backward-Euler-type system per
-sub-step; how those systems are solved (direct, fixed V-cycle budget, or
-to tolerance) is a policy decision of the caller.
+in one call.  The nodes are uniform, M per level (t_i = i/M), so every
+sub-step spans the same fraction 1/M of the step.  The sweep solves one
+backward-Euler-type system per sub-step, all with one shifted operator;
+how those systems are solved (direct, fixed V-cycle budget, or to
+tolerance) is a policy decision of the caller.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class NodeStates:
         return cls(table, y, f)
 
     def refresh(self, op) -> None:
-        for m in range(self.table.m):
-            self.f[m] = op.apply(self.y[m + 1])
+        """f recomputed from y, in place, in one apply over all nodes."""
+        self.f[...] = op.apply(self.y[1:])
 
 
 def collocation_solve(op, table: QuadratureTable, y0: np.ndarray,
@@ -95,12 +97,13 @@ def sdc_sweep(states: NodeStates, dt: float, op, mg_cfg: MgConfig,
     s = node_dot(states.table.step_weights, states.f)
     s *= dt
     cycles = np.zeros(states.y.shape[1], int)
-    for m, gamma in enumerate(states.table.gammas):
-        dtm = gamma * dt
+    # uniform nodes: every sub-step has the same fraction, so one shift
+    dtm = states.table.gamma * dt
+    shifted = multigrid.shifted_operator(op, dtm)
+    for m in range(states.table.m):
         rhs = states.y[m] - dtm * states.f[m] + s[m]
         if tau is not None:
             rhs = rhs + (tau[m + 1] - tau[m])
-        shifted = multigrid.shifted_operator(op, dtm)
         try:
             result = multigrid.solve(shifted, states.y[m + 1], rhs, mg_cfg,
                                      policy)

@@ -7,10 +7,12 @@ call.  Each test here compares B stacked rows with the B row-by-row calls,
 bit for bit.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from pintlab import transfers
+from pintlab import hierarchy, transfers
 from pintlab.heat import Grid, HeatOperator, initial_condition
 from pintlab.hierarchy import Level, TimeStep, mlsdc_iteration
 from pintlab.multigrid import (COARSEST_N, SMOOTHERS, Direct, FixedCycles,
@@ -27,6 +29,32 @@ def stack(rng, b, shape):
     return rng.standard_normal((b,) + shape)
 
 
+# one more stack for the spatial layers: (node, rank, *grid) as the
+# hierarchy passes it, every other node (the stride of time restriction)
+# of a rank slice of a block
+STACKS = BATCHES + ("nodes",)
+
+
+def grids(seed, batch, shape):
+    """`batch` grids of `shape` stacked on one axis, or for "nodes" a
+    strided (node, rank) view of 3 x 2 grids."""
+    if batch == "nodes":
+        block = np.random.default_rng(seed).standard_normal((5, 4) + shape)
+        return block[::2, 1:3]
+    return stack(np.random.default_rng(seed + batch), batch, shape)
+
+
+def assert_each_grid_alone(layer, u, dim):
+    """layer(u) holds, for each grid of u, the bits of layer on that grid
+    alone."""
+    out = layer(u)
+    lead = u.shape[:-dim]
+    assert out.shape[:-dim] == lead
+    for i in np.ndindex(lead):
+        assert out[i].tobytes() == layer(
+            np.ascontiguousarray(u[i])).tobytes()
+
+
 def assert_rows_equal(stacked, rows):
     assert stacked.shape == (len(rows),) + rows[0].shape
     for got, want in zip(stacked, rows):
@@ -34,13 +62,13 @@ def assert_rows_equal(stacked, rows):
 
 
 class TestSpatialLayers:
-    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("batch", STACKS)
     @pytest.mark.parametrize("order", [2, 4])
     @pytest.mark.parametrize("dim,n", GRIDS)
     def test_heat_apply(self, dim, n, order, batch):
         op = HeatOperator(Grid(dim, n), 0.7, order)
-        u = stack(np.random.default_rng(dim * n + batch), batch, op.grid.shape)
-        assert_rows_equal(op.apply(u), [op.apply(row) for row in u])
+        u = grids(dim * n, batch, op.grid.shape)
+        assert_each_grid_alone(op.apply, u, dim)
 
     def test_heat_apply_on_node_and_rank_axes(self):
         op = HeatOperator(Grid(3, 8), 1.0, 4)
@@ -49,22 +77,21 @@ class TestSpatialLayers:
         for m in range(3):
             assert_rows_equal(out[m], [op.apply(row) for row in u[m]])
 
-    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("batch", STACKS)
     @pytest.mark.parametrize("dim,n", GRIDS)
     def test_restrictions(self, dim, n, batch):
-        u = stack(np.random.default_rng(n + batch), batch, (n - 1,) * dim)
+        u = grids(n, batch, (n - 1,) * dim)
         for restrict in (transfers.inject, transfers.full_weighting):
-            assert_rows_equal(np.ascontiguousarray(restrict(u, dim)),
-                              [np.ascontiguousarray(restrict(row, dim))
-                               for row in u])
+            assert_each_grid_alone(functools.partial(restrict, dim=dim), u,
+                                   dim)
 
-    @pytest.mark.parametrize("batch", BATCHES)
+    @pytest.mark.parametrize("batch", STACKS)
     @pytest.mark.parametrize("dim,n", GRIDS)
     def test_interpolations(self, dim, n, batch):
-        u = stack(np.random.default_rng(n + batch), batch,
-                  (n // 2 - 1,) * dim)
+        u = grids(n, batch, (n // 2 - 1,) * dim)
         for interp in (transfers.interp_linear, transfers.interp_cubic):
-            assert_rows_equal(interp(u, dim), [interp(row, dim) for row in u])
+            assert_each_grid_alone(functools.partial(interp, dim=dim), u,
+                                   dim)
 
     @pytest.mark.parametrize("batch", BATCHES)
     @pytest.mark.parametrize("dim,n", GRIDS)
@@ -203,6 +230,33 @@ class TestNodeLayers:
                 for r, ts in enumerate(alone):
                     assert stacked[:, r].tobytes() == getattr(
                         ts.states[l], field)[:, 0].tobytes()
+
+    @pytest.mark.parametrize("restrict", ["full-weighting", "inject"])
+    def test_one_transfer_per_level_pair(self, restrict, monkeypatch):
+        # one MLSDC iteration moves all nodes of all ranks at once: per
+        # pair of levels, one restriction of the states, one of the node
+        # integrals, and one interpolation of the correction
+        cfg = MgConfig(smoother="gauss-seidel")
+        levels = [Level(HeatOperator(Grid(1, n), 1.0, 2), uniform_table(m),
+                        cfg, FixedCycles(1), space_interp_order=order,
+                        space_restrict=restrict)
+                  for n, m, order in ((32, 4, 4), (16, 2, 2), (8, 1, 2))]
+        calls = []
+        for name in ("inject", "full_weighting", "interp_linear",
+                     "interp_cubic"):
+            def counted(u, dim, _name=name, _f=getattr(hierarchy, name)):
+                calls.append((_name, u.shape[:2]))
+                return _f(u, dim)
+            monkeypatch.setattr(hierarchy, name, counted)
+        u0 = np.stack([initial_condition(levels[0].grid, k) for k in (1, 2)])
+        ts = TimeStep.spread(levels, u0)
+        calls.clear()
+        mlsdc_iteration(ts, 0.05)
+        down = restrict.replace("-", "_")
+        assert calls == [(down, (3, 2)), (down, (3, 2)),
+                         (down, (2, 2)), (down, (2, 2)),
+                         ("interp_linear", (3, 2)),
+                         ("interp_cubic", (5, 2))]
 
     def test_spread_repeats_each_rank(self):
         op = HeatOperator(Grid(1, 8), 1.0, 2)

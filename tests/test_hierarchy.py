@@ -81,6 +81,25 @@ class TestRestriction:
         np.testing.assert_allclose(restricted.y[0, 0], u0[1::2])
 
 
+    @pytest.mark.parametrize("n_coarse,restrict", [
+        (8, "full-weighting"), (8, "inject"), (16, "full-weighting")])
+    def test_restricted_states_own_their_arrays(self, n_coarse, restrict):
+        # time restriction is a strided view of the fine nodes, and
+        # injection a strided view of the fine grid; the coarse level
+        # keeps the restricted values, so they must be copies
+        fine = make_level(16, 4, space_restrict=restrict)
+        coarse = make_level(n_coarse, 2)
+        g = fine.grid
+        u0 = np.stack([initial_condition(g, k) for k in (1, 2)])
+        ts = TimeStep.spread([fine, coarse], u0)
+        ts.states[0].y[...] = np.random.default_rng(0).standard_normal(
+            ts.states[0].y.shape)
+        restricted = restrict_state(ts.states[0], fine, coarse)
+        assert not np.shares_memory(restricted.y, ts.states[0].y)
+        if n_coarse == 16:
+            assert restricted.y.tobytes() == ts.states[0].y[::2].tobytes()
+
+
 class TestFas:
     def test_tau_corrected_coarse_matches_restricted_fine(self):
         # solve the collocation problem exactly on the fine level; the

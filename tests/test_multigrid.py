@@ -378,7 +378,7 @@ class TestSmoothers:
         monkeypatch.setattr(HeatOperator, "apply",
                             lambda self, u: calls.append(1) or apply(self, u))
         op = shifted(3, 8, sigma=0.01, order=4)
-        smooth(op, op.grid.zeros(), np.ones(op.grid.shape),
+        smooth(op, np.zeros(op.grid.shape), np.ones(op.grid.shape),
                MgConfig(smoother="jor-rb"), count)
         assert len(calls) == 2 * count
 
@@ -397,7 +397,7 @@ class TestSmoothers:
 class TestVCycle:
     def test_zero_rhs_zero_guess_stays_zero(self):
         op = shifted(1, 32, sigma=0.1)
-        u = v_cycle(op, op.grid.zeros(), op.grid.zeros(), MgConfig())
+        u = v_cycle(op, np.zeros(op.grid.shape), np.zeros(op.grid.shape), MgConfig())
         np.testing.assert_array_equal(u, 0.0)
 
     @given(st.integers(0, 100))
@@ -408,9 +408,9 @@ class TestVCycle:
         rng = np.random.default_rng(seed)
         b1 = rng.standard_normal(op.grid.shape)
         b2 = rng.standard_normal(op.grid.shape)
-        lhs = v_cycle(op, op.grid.zeros(), 2.0 * b1 - b2, cfg)
-        rhs = (2.0 * v_cycle(op, op.grid.zeros(), b1, cfg)
-               - v_cycle(op, op.grid.zeros(), b2, cfg))
+        lhs = v_cycle(op, np.zeros(op.grid.shape), 2.0 * b1 - b2, cfg)
+        rhs = (2.0 * v_cycle(op, np.zeros(op.grid.shape), b1, cfg)
+               - v_cycle(op, np.zeros(op.grid.shape), b2, cfg))
         assert np.max(np.abs(lhs - rhs)) <= 100 * EPS * max(
             1.0, np.max(np.abs(rhs)))
 
@@ -442,7 +442,7 @@ class TestVCycle:
     def test_coarsest_grid_solved_directly(self, dim, order):
         op = shifted(dim, 4, sigma=0.3, order=order)
         b = np.random.default_rng(13).standard_normal(op.grid.shape)
-        u = v_cycle(op, op.grid.zeros(), b, MgConfig())
+        u = v_cycle(op, np.zeros(op.grid.shape), b, MgConfig())
         assert np.max(np.abs(b - op.apply(u))) < 1e-12
 
 
@@ -497,7 +497,7 @@ class TestFactorOwnership:
 
     def test_2d_sweep_builds_its_triangle(self, splu_calls):
         op = shifted_operator(HeatOperator(Grid(2, 8)), 0.01)
-        smooth(op, op.grid.zeros(), np.ones(op.grid.shape),
+        smooth(op, np.zeros(op.grid.shape), np.ones(op.grid.shape),
                MgConfig(smoother="gauss-seidel"), 1)
         assert splu_calls == [(49, 49)]
 
@@ -588,7 +588,7 @@ class TestSolvePolicies:
 
     def test_tolerance_zero_rhs_needs_no_cycles(self):
         op = shifted(1, 32)
-        res = solve(op, op.grid.zeros(), op.grid.zeros(), MgConfig(),
+        res = solve(op, np.zeros(op.grid.shape), np.zeros(op.grid.shape), MgConfig(),
                     ToTolerance(1e-12))
         assert res.cycles == 0 and res.status == "converged"
 

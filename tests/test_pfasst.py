@@ -333,7 +333,8 @@ class TestOperatorApplies:
         # the ipfasst-1d benchmark configuration; node 0 carries no
         # quadrature weight, so no apply at node 0 belongs in this count.
         # Each call applies the operator to a stack of grids: count the
-        # grids (rows), and the calls beside them
+        # grids (rows), and the calls beside them: one per f-cache refresh
+        # of all nodes, not one per node
         levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
                                                 n_t=32, p=32)
         rows = []
@@ -347,7 +348,7 @@ class TestOperatorApplies:
         res = pfasst_run(levels, u0, t_end, **kwargs)
         assert res.iterations[-1] == 9
         assert sum(rows) == 37_781
-        assert len(rows) == 5_580
+        assert len(rows) == 5_458
 
 
 class TestPredictor:
@@ -615,19 +616,26 @@ class TestWorkers:
 
     def test_failing_rank_stops_every_worker(self, deadline, monkeypatch):
         # groups [0, 2), [2, 5) and [5, 8): rank 2 fails in its first
-        # iteration while rank 1 waits for the abort before its second.
-        # The last group waits for iteration messages that never come, so
-        # the run returns only if the abort stops both other groups.
+        # iteration once rank 1 has started its first, and rank 1 waits for
+        # the abort before its second.  The last group waits for iteration
+        # messages that never come, so the run returns only if the abort
+        # stops both other groups.
         last = {}
+        rank_1_iterating = threading.Event()
         iteration = _BlockEngine.rank_iteration
 
         def failing_iteration(engine, first, stop, j, block):
             if first <= 2 < stop:
+                # rank 2 needs only predictor messages to get here, and
+                # may do so before rank 1 iterates at all
+                rank_1_iterating.wait(timeout=30)
                 raise RuntimeError("rank 2 failed")
             if first <= 1 < stop and j - 1 == 2:
                 engine.exchange.aborted.wait(timeout=30)
             for rank in range(first, stop):
                 last[rank] = j - rank
+            if first <= 1 < stop and j - 1 == 1:
+                rank_1_iterating.set()
             return iteration(engine, first, stop, j, block)
 
         monkeypatch.setattr(_BlockEngine, "rank_iteration",

@@ -59,7 +59,7 @@ class TestCollocationOracle:
         op = scalar_operator(-2.0)
         table = uniform_table(4)
         states = collocation_solve(op, table, np.array([1.0]), 0.1)
-        exact = np.exp(-2.0 * 0.1 * np.array(table.nodes.nodes, dtype=float))
+        exact = np.exp(-2.0 * 0.1 * (np.arange(5) / 4))
         np.testing.assert_allclose(states.y[:, 0, 0], exact, atol=1e-9)
 
     def test_residual_of_collocation_solution_vanishes(self):
