@@ -163,8 +163,8 @@ def mlsdc_iteration(ts: TimeStep, dt: float,
     V-cycles of each rank.
 
     `coarse_y0`, when given, replaces the coarsest initial values of the
-    last len(coarse_y0) ranks after the down pass: those that receive
-    one from a predecessor.  A single-level hierarchy degenerates to one
+    last len(coarse_y0) ranks after the down pass: those that have a
+    predecessor.  A single-level hierarchy degenerates to one
     plain sweep.
     """
     levels, states = ts.levels, ts.states

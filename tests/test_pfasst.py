@@ -3,6 +3,8 @@
 import os
 import sys
 import threading
+import time
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -15,8 +17,7 @@ from pintlab.config import parse_config
 from pintlab.heat import Grid, HeatOperator, initial_condition, scalar_operator
 from pintlab.hierarchy import Level, TimeStep, interpolate_up, mlsdc_iteration
 from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
-from pintlab.pfasst import (PfasstResult, _BlockEngine, _Channel, _Exchange,
-                            _run_block, pfasst_run)
+from pintlab.pfasst import PfasstResult, _BlockEngine, _run_block, pfasst_run
 from pintlab.quadrature import uniform_table
 from pintlab.sdc import NodeStates, SubStepError, residual, run_sdc, sdc_sweep
 
@@ -78,8 +79,9 @@ def phase_major_serial(engine, block):
             engine.predictor_finalize(r, r + 1)
     running = list(range(p))
     for k in range(1, engine.max_iter + 1):
-        running = [r for r in running
-                   if not engine.rank_iteration(r, r + 1, r + k, block)]
+        for r in running:
+            engine.rank_iteration(r, r + 1, r + k, block)
+        running = [r for r in running if not engine.converged[r]]
 
 
 def assert_bitwise_equal(a, b):
@@ -108,54 +110,72 @@ class TestEquivalences:
                                                              deadline,
                                                              monkeypatch):
         # on any core count; with p=8 on 3 cores the threaded executor's
-        # groups hold 2, 3 and 3 ranks
+        # groups hold 2, 3 and 3 ranks.  A short switch interval makes the
+        # workers interleave often, so that a group reading a value
+        # another group has not yet written, or has already overwritten,
+        # changes the bits
         levels, u0, t_end, kwargs, rank_iterations = PIPELINE_CASES[case]()
         a = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
         assert a.rank_iterations == rank_iterations
-        for cores in (1, 2, 3):
-            monkeypatch.setattr(os, "cpu_count", lambda: cores)
-            b = deadline(pfasst_run, levels, u0, t_end, executor="threaded",
-                         **kwargs)
-            assert_bitwise_equal(a, b)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(os, "cpu_count", lambda: cores)
+                b = deadline(pfasst_run, levels, u0, t_end,
+                             executor="threaded", **kwargs)
+                assert_bitwise_equal(a, b)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
     def test_round_robin_equals_phase_major_schedule(self, case,
                                                      monkeypatch):
-        # every rank reads the same messages in the same order under the
+        # every rank reads the same values of its predecessor under the
         # batched schedule and the rank-by-rank one, and the batched
         # layers give each rank its own bits, so both give the same bits
         # (and so does the threaded executor, which equals the serial one
         # above)
         levels, u0, t_end, kwargs, rank_iterations = PIPELINE_CASES[case]()
         a = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
-        monkeypatch.setattr(pfasst, "_run_block", lambda engine, block, _:
-                            phase_major_serial(engine, block))
+        monkeypatch.setattr(pfasst, "_run_block", phase_major_serial)
         b = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
         assert b.rank_iterations == rank_iterations
         assert_bitwise_equal(a, b)
 
     @pytest.mark.parametrize("executor", ["serial", "threaded"])
     @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
-    def test_block_sends_each_message_once(self, case, executor, deadline,
+    def test_each_rank_runs_each_step_once(self, case, executor, deadline,
                                            monkeypatch):
-        # p(p-1)/2 predictor messages, then one message for each iteration
-        # of a rank with a successor; a frozen rank sends nothing
-        tags = []
-        send = _Channel.send
+        # the predictor burns in phases 0..r of each rank r once per block,
+        # and the iteration batches cover each rank once per iteration it
+        # runs, never after it has frozen
+        phases, iterations = Counter(), Counter()
+        phase, iteration = (_BlockEngine.predictor_phase,
+                            _BlockEngine.rank_iteration)
 
-        def counting_send(self, tag, payload):
-            tags.append(tag[0])
-            send(self, tag, payload)
+        def counting_phase(engine, first, stop, wave):
+            phases.update((rank, wave - rank) for rank in range(first, stop))
+            phase(engine, first, stop, wave)
 
-        monkeypatch.setattr(_Channel, "send", counting_send)
+        def counting_iteration(engine, first, stop, j, block):
+            assert not any(engine.converged[first:stop])
+            iterations.update((block, rank) for rank in range(first, stop))
+            iteration(engine, first, stop, j, block)
+
+        monkeypatch.setattr(_BlockEngine, "predictor_phase", counting_phase)
+        monkeypatch.setattr(_BlockEngine, "rank_iteration",
+                            counting_iteration)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
         levels, u0, t_end, kwargs, _ = PIPELINE_CASES[case]()
         res = deadline(pfasst_run, levels, u0, t_end, executor=executor,
                        **kwargs)
         p, blocks = kwargs["p"], len(res.rank_iterations)
-        assert tags.count("pred") == blocks * p * (p - 1) // 2
-        assert tags.count("it") == sum(
-            sum(block[:-1]) for block in res.rank_iterations)
-        assert len(tags) == tags.count("pred") + tags.count("it")
+        assert phases == {(rank, k): blocks
+                          for rank in range(p) for k in range(rank + 1)}
+        assert iterations == {(block, rank): k
+                              for block, ks in enumerate(res.rank_iterations)
+                              for rank, k in enumerate(ks)}
 
     def test_exactness_in_p_iterations(self):
         # after p iterations the parallel solution agrees with the serial
@@ -439,6 +459,28 @@ class TestValidation:
             deadline(pfasst_run, levels, u0, t_end, p=2, max_iter=2,
                      executor=executor)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "stacked"])
+    @pytest.mark.parametrize("executor", ["serial", "threaded"])
+    def test_rejects_bad_initial_value(self, executor, bad, deadline,
+                                       monkeypatch):
+        # a NaN entry ran every rank to max_iter and returned a NaN state
+        # flagged unconverged; a (2, 31) value failed deep inside with
+        # "non-broadcastable output operand"
+        levels = make_levels()
+        u0 = initial_condition(levels[0].grid, 1)
+        if bad == "stacked":
+            u0 = np.stack([u0, u0])
+        else:
+            u0[3] = float(bad)
+
+        def no_block(engine, block):
+            raise AssertionError("a worker started")
+
+        monkeypatch.setattr(pfasst, "_run_block", no_block)
+        with pytest.raises(ValueError, match="initial value"):
+            deadline(pfasst_run, levels, u0, 0.25, p=2, max_iter=3,
+                     executor=executor)
+
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
     def test_rejects_bad_tolerance(self, tol):
         # a NaN tolerance ran every rank to max_iter and reported it
@@ -457,57 +499,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="iteration"):
             run_sdc(op, uniform_table(2), np.array([1.0]), 1.0, 2, 1e-10,
                     max_iter, MgConfig(), Direct())
-
-
-class TestChannel:
-    def test_serial_receive_without_message_raises_at_once(self):
-        with pytest.raises(RuntimeError, match="before its send"):
-            _Channel(blocking=False).recv(("it", 1))
-
-    @pytest.mark.parametrize("blocking", [False, True])
-    def test_wrong_tag_raises(self, blocking):
-        channel = _Channel(blocking)
-        channel.send(("pred", 0), np.zeros(1))
-        with pytest.raises(RuntimeError, match="expected message"):
-            channel.recv(("it", 1))
-
-    def test_messages_are_received_once_in_send_order(self):
-        channel = _Channel(blocking=False)
-        for k in (1, 2):
-            channel.send(("it", k), k)
-        assert [channel.recv(("it", k)) for k in (1, 2)] == [1, 2]
-        with pytest.raises(RuntimeError):
-            channel.recv(("it", 2))
-
-
-class TestExchange:
-    @pytest.mark.parametrize("levels", [make_levels, weak_scaling_levels],
-                             ids=["2", "3"])
-    def test_one_message_of_fine_and_coarsest_values(self, levels,
-                                                     monkeypatch):
-        # one channel per rank pair; each iteration's message carries the
-        # fine and coarsest final values and the converged flag, and the
-        # levels between, restricted from the fine one, send nothing
-        assert len(_Exchange(3, blocking=False)) == 2
-        levels = levels()
-        sent = []
-        send = _Channel.send
-
-        def recording_send(self, tag, payload):
-            sent.append((tag, payload))
-            send(self, tag, payload)
-
-        monkeypatch.setattr(_Channel, "send", recording_send)
-        u0 = initial_condition(levels[0].grid, 1)
-        res = pfasst_run(levels, u0, 0.25, p=3, tol=1e-10, max_iter=12)
-        payloads = [payload for (kind, _), payload in sent if kind == "it"]
-        assert len(payloads) == sum(res.rank_iterations[0][:-1])
-        fine, coarsest = levels[0].grid.shape, levels[-1].grid.shape
-        for payload in payloads:
-            assert len(payload) == 3
-            assert payload[0].shape == fine
-            assert payload[1].shape == coarsest
-            assert type(payload[2]) is bool
 
 
 class TestSharedSpread:
@@ -532,10 +523,9 @@ class TestSharedSpread:
         levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
                                                 n_t=4, p=4)
         engine = _BlockEngine(levels, t_end / 4, kwargs["tol"],
-                              kwargs["max_iter"],
-                              _Exchange(4, blocking=workers > 1), u0, 4)
+                              kwargs["max_iter"], u0, 4, workers)
         self.assert_private(engine)
-        deadline(_run_block, engine, 0, workers)
+        deadline(_run_block, engine, 0)
         assert [engine.iterations] == pfasst_run(
             levels, u0, t_end, **kwargs).rank_iterations
         self.assert_private(engine)
@@ -592,7 +582,7 @@ class TestWorkers:
         def recording_iteration(engine, first, stop, j, block):
             owners.setdefault(threading.get_ident(), set()).update(
                 range(first, stop))
-            return iteration(engine, first, stop, j, block)
+            iteration(engine, first, stop, j, block)
 
         monkeypatch.setattr(_BlockEngine, "rank_iteration",
                             recording_iteration)
@@ -616,27 +606,24 @@ class TestWorkers:
 
     def test_failing_rank_stops_every_worker(self, deadline, monkeypatch):
         # groups [0, 2), [2, 5) and [5, 8): rank 2 fails in its first
-        # iteration once rank 1 has started its first, and rank 1 waits for
-        # the abort before its second.  The last group waits for iteration
-        # messages that never come, so the run returns only if the abort
-        # stops both other groups.
+        # iteration (round 3), and rank 1 waits for the broken barrier
+        # before its second (also round 3).  The last group waits on the
+        # barrier, so the run returns only if breaking it stops both other
+        # groups.
         last = {}
-        rank_1_iterating = threading.Event()
         iteration = _BlockEngine.rank_iteration
 
         def failing_iteration(engine, first, stop, j, block):
             if first <= 2 < stop:
-                # rank 2 needs only predictor messages to get here, and
-                # may do so before rank 1 iterates at all
-                rank_1_iterating.wait(timeout=30)
                 raise RuntimeError("rank 2 failed")
             if first <= 1 < stop and j - 1 == 2:
-                engine.exchange.aborted.wait(timeout=30)
+                give_up = time.monotonic() + 30
+                while (not engine.barrier.broken
+                       and time.monotonic() < give_up):
+                    time.sleep(1e-3)
             for rank in range(first, stop):
                 last[rank] = j - rank
-            if first <= 1 < stop and j - 1 == 1:
-                rank_1_iterating.set()
-            return iteration(engine, first, stop, j, block)
+            iteration(engine, first, stop, j, block)
 
         monkeypatch.setattr(_BlockEngine, "rank_iteration",
                             failing_iteration)
@@ -647,16 +634,33 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="rank 2 failed"):
             deadline(pfasst_run, levels, u0, t_end, executor="threaded",
                      **kwargs)
-        # the first group ends the round in which the abort came (by
-        # round 3 at the latest) instead of running to max_iter
+        # the first group ends the round in which the barrier broke
+        # instead of running to max_iter
         assert last[0] <= 3 and last[1] <= 2
+
+    def test_no_worker_outlives_the_run(self, deadline, monkeypatch):
+        # 6 ranks on 3 workers, run once cleanly and once failing
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
+                                                n_t=6, p=6, max_iter=3)
+        before = threading.active_count()
+        deadline(pfasst_run, levels, u0, t_end, executor="threaded",
+                 **kwargs)
+        assert threading.active_count() == before
+        # one V-cycle cannot reach 1e-15, so rank 0 fails in its predictor
+        failing = [replace(lvl, policy=ToTolerance(tol=1e-15, max_cycles=1))
+                   for lvl in levels]
+        with pytest.raises(SubStepError):
+            deadline(pfasst_run, failing, u0, t_end, executor="threaded",
+                     **kwargs)
+        assert threading.active_count() == before
 
 
 class TestFailures:
     @pytest.mark.parametrize("executor", ["serial", "threaded"])
     def test_substep_failure_raises_promptly(self, executor, deadline):
         # weak-scaling levels where one V-cycle cannot reach 1e-15: rank 0
-        # fails in its predictor while rank 1 waits for its message
+        # fails in its predictor while rank 1 waits on the barrier
         cfg = parse_config(None, {"n_x": "32", "n_t": "2", "p": "2"},
                            experiment="weak-scaling", **PRESETS["weak-scaling"])
         levels = [replace(lvl, policy=ToTolerance(tol=1e-15, max_cycles=1))

@@ -84,7 +84,8 @@ def test_cli_import_loads_no_further_dependency():
 # perfbench/tracing.py targets that pintlab no longer defines; dropping
 # them is an upkeep item of ROADMAP Direction 1
 STALE_TRACER_TARGETS = {"pfasst._BlockEngine.resend",
-                        "pfasst._SerialExchange.recv"}
+                        "pfasst._SerialExchange.recv",
+                        "pfasst._Channel.recv"}
 
 
 class TestBenchmarkInterface:
