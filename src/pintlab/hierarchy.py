@@ -200,10 +200,11 @@ def burn_in(ts: TimeStep, dt: float) -> np.ndarray:
 def interpolate_up(ts: TimeStep, spread: list[NodeStates]) -> None:
     """Propagate the burn-in coarse state to the finer levels.
 
-    `spread[l]`, only read, is the pre-burn-in state of level l (restricted
-    from the spread fine state), for one rank or for each.
+    `spread[l]`, only read, is the pre-burn-in state of level l + 1
+    (restricted from the spread fine state), for one rank or for each;
+    the fine level's is not needed.
     """
     levels, states = ts.levels, ts.states
     for l in range(len(levels) - 2, -1, -1):
-        coarse_correction(states[l], spread[l + 1].y, states[l + 1],
+        coarse_correction(states[l], spread[l].y, states[l + 1],
                           levels[l], levels[l + 1])

@@ -3,12 +3,20 @@
 Coarse-level operators are rediscretizations of the fine operator (same
 diffusivity, same shift, same stencil order).  The coarsest level is solved
 directly.  Smoother sweep order is fixed, so solves are bit-reproducible.
-Red-black JOR updates the whole array under a cached, read-only colour mask
-(`np.where`), with no gather or scatter.
+
+Every smoother, the V-cycle's restricted residual and the tolerance check
+read one product, `ShiftedOperator.residual`: b - (I - sigma*A) u as the
+Kronecker sum of two read-only 1D factors, sigma*D - I along x and
+sigma*D along y and z, accumulated in place, plus b.  A Jacobi or
+red-black JOR half-sweep multiplies that residual by a cached read-only
+weight and adds u: omega/diag for Jacobi, and for JOR a red and a black
+weight that are omega/diag on their colour and exactly zero off it, so no
+gather, scatter, mask or division runs per sweep.
 
 Setup and solve are split.  Each grid's sparse matrix is cached, and the
 cached `ShiftedOperator` of each grid and shift owns what is fixed per
-shift: its coarse-grid operator, its SuperLU direct factor (for `Direct`
+shift: its coarse-grid operator, its residual factors, its smoother
+weights per (smoother, omega), its SuperLU direct factor (for `Direct`
 and the coarsest V-cycle grid) and its Gauss-Seidel triangle.  On a 1D
 grid the triangle is a read-only band of order/2 + 1 diagonals, and a
 sweep is one LAPACK banded solve (dtbtrs); in 2D and 3D, where the band
@@ -38,7 +46,8 @@ import scipy.sparse.linalg
 # loaded by scipy.sparse.linalg already, so this imports no further module
 from scipy.linalg.lapack import dtbtrs
 
-from .heat import Grid, HeatOperator, laplacian_1d
+from .heat import (Grid, HeatOperator, kronecker_sum, laplacian_1d,
+                   with_transpose)
 from .transfers import full_weighting, interp_linear
 
 SMOOTHERS = ("jacobi", "gauss-seidel", "jor-rb")
@@ -157,7 +166,8 @@ class ShiftedOperator:
     """I - sigma * A for a heat right-hand-side operator A.
 
     `shifted_operator` keeps one per (operator, sigma); each holds its
-    coarse-grid operator and its factors once a solve has asked for them.
+    coarse-grid operator, its residual factors, its smoother weights and
+    its factors once a solve has asked for them.
     """
 
     def __init__(self, base, sigma: float):
@@ -165,20 +175,45 @@ class ShiftedOperator:
             raise ValueError("shift must be finite and non-negative")
         self.base = base
         self.sigma = sigma
-        self._diag = 1.0 - sigma * base.diagonal()
-        self._diag.setflags(write=False)
         self._coarse = None
+        self._weights = {}
         self.coarsest = base.grid.n <= COARSEST_N  # V-cycles solve directly
 
     @property
     def grid(self) -> Grid:
         return self.base.grid
 
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return u - self.sigma * self.base.apply(u)
+    @cached_property
+    def _factors(self):
+        """The read-only 1D factors of the residual, with their transposes:
+        sigma * D - I, applied along x, and sigma * D along y and z."""
+        d = self.sigma * self.base.factor[0]
+        return with_transpose(d - np.eye(len(d))), with_transpose(d)
 
-    def diagonal(self) -> np.ndarray:
-        return self._diag
+    def residual(self, u: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """b - (I - sigma*A) u on each grid stacked in `u` and `b`: the
+        Kronecker sum of the residual factors, one product per axis
+        accumulated in place, plus b."""
+        r = kronecker_sum(*self._factors, u, self.grid.shape)
+        r += b
+        return r
+
+    def smoother_weights(self, smoother: str,
+                         omega: float) -> tuple[np.ndarray, ...]:
+        """Read-only weights of a Jacobi or red-black JOR sweep, one per
+        half-sweep: (omega / diag,) for jacobi; for jor-rb the red and the
+        black weight, each omega / diag on its colour and zero off it.
+        Built on first use of each (smoother, omega)."""
+        key = (smoother, omega)
+        if key not in self._weights:
+            w = omega / (1.0 - self.sigma * self.base.diagonal())
+            weights = ((w,) if smoother == "jacobi" else
+                       tuple(np.where(mask, w, 0.0)
+                             for mask in _colour_masks(self.grid.shape)))
+            for a in weights:
+                a.setflags(write=False)
+            self._weights[key] = weights
+        return self._weights[key]
 
     def coarsen(self) -> "ShiftedOperator":
         """The same shift on the factor-2 coarser grid."""
@@ -267,29 +302,28 @@ def smooth(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
            cfg: MgConfig, count: int) -> np.ndarray:
     if u.shape != b.shape:
         raise ValueError("shape mismatch between iterate and right-hand side")
-    diag = op.diagonal()
-    if cfg.smoother == "jacobi":
-        for _ in range(count):
-            u = u + cfg.omega * (b - op.apply(u)) / diag
-    elif cfg.smoother == "gauss-seidel" and op.grid.dim == 1:
+    if cfg.smoother == "gauss-seidel" and op.grid.dim == 1:
         band = op.gauss_seidel_band
         for _ in range(count):
             # one column per grid, F-ordered; solved in place
-            r = (b - op.apply(u)).reshape(-1, band.shape[1]).T
+            r = op.residual(u, b).reshape(-1, band.shape[1]).T
             du = dtbtrs(band, r, uplo="L", overwrite_b=True)[0]
             u = u + du.T.reshape(u.shape)
     elif cfg.smoother == "gauss-seidel":
         lower, rows = op.gauss_seidel_factor, (-1, op.grid.dof)
         for _ in range(count):
-            r = (b - op.apply(u)).reshape(rows)
+            r = op.residual(u, b).reshape(rows)
             with _FACTOR_SOLVE_LOCK:
                 du = lower.solve(r.T)
             u = u + du.T.reshape(u.shape)
-    else:  # jor-rb
-        red, black = _colour_masks(op.grid.shape)
+    else:  # jacobi, or jor-rb as a red and then a black half-sweep
+        weights = op.smoother_weights(cfg.smoother, cfg.omega)
         for _ in range(count):
-            u = u + np.where(red, cfg.omega * (b - op.apply(u)) / diag, 0.0)
-            u = u + np.where(black, cfg.omega * (b - op.apply(u)) / diag, 0.0)
+            for w in weights:
+                r = op.residual(u, b)
+                r *= w
+                r += u
+                u = r
     return u
 
 
@@ -299,7 +333,7 @@ def v_cycle(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
         return op.solve_direct(b)
     dim = op.grid.dim
     u = smooth(op, u, b, cfg, cfg.pre_sweeps)
-    rc = full_weighting(b - op.apply(u), dim)
+    rc = full_weighting(op.residual(u, b), dim)
     ec = v_cycle(op.coarsen(), np.zeros(rc.shape), rc, cfg)
     u = u + interp_linear(ec, dim)
     return smooth(op, u, b, cfg, cfg.post_sweeps)
@@ -326,7 +360,7 @@ def _finite_residuals(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
                       cycles: int) -> np.ndarray:
     """Residual norm of each row of grids; a NaN would compare as
     converged, so it raises."""
-    res = _norms((b - op.apply(u)).reshape(len(b), op.grid.dof))
+    res = _norms(op.residual(u, b).reshape(len(b), op.grid.dof))
     bad = ~np.isfinite(res)
     if bad.any():
         raise MultigridError(

@@ -110,13 +110,15 @@ class _BlockEngine:
         self.p = p
         # one party per group; the groups run each step in lockstep
         self.barrier = threading.Barrier(workers)
-        # every rank starts from the same spread, which stays read-only
-        self.spread = TimeStep.spread(levels, u0[None]).states
-        for states in self.spread:
-            states.y.flags.writeable = states.f.flags.writeable = False
+        # every rank starts from the same spread
+        spread = TimeStep.spread(levels, u0[None]).states
         # each level's node states of all ranks, (node, rank, *grid)
         self.states = [NodeStates(s.table, s.y.repeat(p, axis=1),
-                                  s.f.repeat(p, axis=1)) for s in self.spread]
+                                  s.f.repeat(p, axis=1)) for s in spread]
+        # the coarser levels' spread, read-only: what interpolate_up reads
+        self.spread = spread[1:]
+        for states in self.spread:
+            states.y.flags.writeable = states.f.flags.writeable = False
         self.vcycles = np.zeros(p, int)
         self.iterations = [0] * p
         self.converged = [False] * p
@@ -280,4 +282,5 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
         result.trace.extend(sorted(
             engine.trace, key=lambda r: (r.iteration, r.rank, r.level)))
         result.final_values.append(list(engine.final_values))
+        del engine  # not alive while the next block's engine is built
     return result

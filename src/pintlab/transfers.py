@@ -2,7 +2,8 @@
 
 Interior-only arrays: fine index i = 1..nf-1 sits at array position i-1,
 coarse index j corresponds to fine index 2j.  Injection is a slice; every
-other transfer is a cached, read-only 1D matrix per grid size, applied
+other transfer is a cached, read-only 1D matrix per grid size, kept with
+a C-contiguous copy of its transpose for products along x, and applied
 along each of the trailing `dim` grid axes by `heat.along_axis`, as the
 heat operator applies its own; leading axes stack independent grids.
 """
@@ -13,13 +14,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .heat import along_axis
+from .heat import along_axis, with_transpose
 
 
 @lru_cache(maxsize=64)  # one entry per grid size and order
-def _interp_matrix(nf: int, order: int) -> np.ndarray:
+def _interp_matrix(nf: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """(nf-1) x (nf/2-1) Lagrange interpolation matrix for factor-2
-    refinement, on a window of `order` coarse samples (2: linear, 4: cubic).
+    refinement, on a window of `order` coarse samples (2: linear, 4: cubic),
+    with its transpose.
 
     Sample points include the zero-valued boundary nodes, so near-boundary
     stencils keep their order through genuine function values.
@@ -43,16 +45,14 @@ def _interp_matrix(nf: int, order: int) -> np.ndarray:
                     w *= (s - jb) / (ja - jb)
             if 1 <= ja <= nc - 1:  # boundary samples are zero
                 mat[i - 1, ja - 1] += w
-    mat.setflags(write=False)
-    return mat
+    return with_transpose(mat)
 
 
 @lru_cache(maxsize=64)  # one entry per grid size
-def _full_weighting_matrix(nf: int) -> np.ndarray:
-    """Half the transposed linear interpolation: rows (1, 2, 1)/4."""
-    mat = np.ascontiguousarray(0.5 * _interp_matrix(nf, 2).T)
-    mat.setflags(write=False)
-    return mat
+def _full_weighting_matrix(nf: int) -> tuple[np.ndarray, np.ndarray]:
+    """Half the transposed linear interpolation, rows (1, 2, 1)/4, with its
+    transpose."""
+    return with_transpose(0.5 * _interp_matrix(nf, 2)[1])
 
 
 def inject(u: np.ndarray, dim: int) -> np.ndarray:

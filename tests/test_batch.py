@@ -17,7 +17,7 @@ from pintlab.heat import Grid, HeatOperator, initial_condition
 from pintlab.hierarchy import Level, TimeStep, mlsdc_iteration
 from pintlab.multigrid import (COARSEST_N, SMOOTHERS, Direct, FixedCycles,
                                MgConfig, ToTolerance, shifted_operator,
-                               solve)
+                               smooth, solve)
 from pintlab.quadrature import node_dot, uniform_table
 from pintlab.sdc import NodeStates, residual, sdc_sweep
 
@@ -109,6 +109,39 @@ class TestSpatialLayers:
 
 def shifted(dim, n, order=2, sigma=0.05):
     return shifted_operator(HeatOperator(Grid(dim, n), 1.0, order), sigma)
+
+
+def assert_each_pair_alone(layer, u, b, dim):
+    """layer(u, b) holds, for each grid pair of u and b, the bits of layer
+    on that pair alone."""
+    out = layer(u, b)
+    lead = u.shape[:-dim]
+    assert out.shape == u.shape
+    for i in np.ndindex(lead):
+        assert out[i].tobytes() == layer(np.ascontiguousarray(u[i]),
+                                         np.ascontiguousarray(b[i])).tobytes()
+
+
+class TestResidualAndSmoothers:
+    @pytest.mark.parametrize("batch", STACKS)
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("dim,n", GRIDS)
+    def test_residual(self, dim, n, order, batch):
+        op = shifted(dim, n, order)
+        u = grids(dim * n, batch, op.grid.shape)
+        b = grids(dim * n + 1, batch, op.grid.shape)
+        assert_each_pair_alone(op.residual, u, b, dim)
+
+    @pytest.mark.parametrize("batch", STACKS)
+    @pytest.mark.parametrize("smoother", SMOOTHERS)
+    @pytest.mark.parametrize("dim,n", GRIDS)
+    def test_smoother(self, dim, n, smoother, batch):
+        op = shifted(dim, n, order=4)
+        u = grids(dim * n, batch, op.grid.shape)
+        b = grids(dim * n + 1, batch, op.grid.shape)
+        cfg = MgConfig(smoother=smoother)
+        assert_each_pair_alone(lambda u, b: smooth(op, u, b, cfg, 2), u, b,
+                               dim)
 
 
 def assert_solves_equal(op, u0, b, cfg, policy):

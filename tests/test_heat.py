@@ -205,11 +205,15 @@ class TestStencils:
         info = heat._axis_factor.cache_info()
         assert info.maxsize == heat.FACTOR_CACHE_SIZE
         assert info.currsize == heat.FACTOR_CACHE_SIZE
-        factor = ops[-1]._factor
-        assert factor is ops[-1]._factor
-        assert factor.shape == (7, 7)
-        with pytest.raises(ValueError):
-            factor[0, 0] = 1.0
+        factor = ops[-1].factor
+        assert factor is ops[-1].factor
+        d, d_t = factor
+        assert d.shape == (7, 7)
+        np.testing.assert_array_equal(d_t, d.T)
+        assert d_t.flags.c_contiguous
+        for mat in factor:
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
 
     def test_shape_check(self):
         op = HeatOperator(Grid(2, 8))
@@ -231,6 +235,33 @@ class TestStencils:
         lhs = op.apply(2.0 * u - 3.0 * v)
         rhs = 2.0 * op.apply(u) - 3.0 * op.apply(v)
         np.testing.assert_allclose(lhs, rhs, atol=1e-7 / op.grid.dx**2 * EPS * 100)
+
+
+class TestAlongAxis:
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)])
+    @pytest.mark.parametrize("n", [4, 16, 32])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_x_axis_transpose_gives_the_bits_of_the_view(self, dim, n, lead):
+        # the C-contiguous transpose against the F-ordered view mat.T,
+        # on a matrix that is not symmetric
+        rng = np.random.default_rng(dim * n)
+        mat = rng.standard_normal((n - 1, n - 1))
+        u = rng.standard_normal(lead + (n - 1,) * dim)
+        out = heat.along_axis(heat.with_transpose(mat), u, dim - 1, dim)
+        assert out.tobytes() == (u @ mat.T).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_every_axis_matches_a_dense_product(self, dim):
+        rng = np.random.default_rng(dim)
+        mat = rng.standard_normal((7, 7))
+        u = rng.standard_normal((2,) + (7,) * dim)
+        factor = heat.with_transpose(mat)
+        for axis in range(dim):
+            ref = np.moveaxis(np.tensordot(mat, u, axes=(1, axis + 1)), 0,
+                              axis + 1)
+            np.testing.assert_allclose(
+                heat.along_axis(factor, u, axis, dim), ref, rtol=1e-13,
+                atol=1e-13)
 
 
 class TestSymbolsAndSolutions:

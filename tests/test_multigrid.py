@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pintlab import hierarchy, multigrid, quadrature, transfers
+from pintlab import heat, hierarchy, multigrid, quadrature, transfers
 from pintlab.heat import Grid, HeatOperator, scalar_operator
 from pintlab.multigrid import (
     Direct,
@@ -35,6 +35,12 @@ def shifted(dim=1, n=64, sigma=1e-3, nu=1.0, order=2):
     return ShiftedOperator(HeatOperator(Grid(dim, n), nu, order), sigma)
 
 
+def shifted_apply(op, u):
+    """(I - sigma*A) u from the heat operator's apply: the reference for
+    building right-hand sides."""
+    return u - op.sigma * op.base.apply(u)
+
+
 def check_gauss_seidel_sweep(dim, n, order, sigma):
     """One sweep from u must equal u + L^{-1} (b - A u), with L = tril(A)
     solved densely."""
@@ -51,17 +57,18 @@ def check_gauss_seidel_sweep(dim, n, order, sigma):
 
 def boolean_jor_rb(op, u, b, omega, count):
     """Red-black JOR as boolean gathers and scatters: the reference for the
-    whole-array update of `smooth`."""
+    whole-array update of `smooth`, with its residual and its weights
+    omega / diag."""
     # red points have an even coordinate sum, counting from 1 on each axis
     red = (np.indices(u.shape).sum(axis=0) + u.ndim) % 2 == 0
     black = ~red
-    diag = op.diagonal()
+    w = omega / (1.0 - op.sigma * op.base.diagonal())
     u = u.copy()
     for _ in range(count):
-        r = b - op.apply(u)
-        u[red] += omega * r[red] / diag[red]
-        r = b - op.apply(u)
-        u[black] += omega * r[black] / diag[black]
+        r = op.residual(u, b)
+        u[red] += r[red] * w[red]
+        r = op.residual(u, b)
+        u[black] += r[black] * w[black]
     return u
 
 
@@ -183,7 +190,8 @@ class TestShiftedOperator:
         u = rng.standard_normal(op.grid.shape)
         a = operator_matrix(op.base)
         expected = u.ravel() - 0.01 * (a @ u.ravel())
-        np.testing.assert_allclose(op.apply(u).ravel(), expected, atol=1e-10)
+        np.testing.assert_allclose(-op.residual(u, np.zeros_like(u)).ravel(),
+                                   expected, atol=1e-10)
 
     def test_rejects_negative_shift(self):
         with pytest.raises(ValueError):
@@ -201,7 +209,7 @@ class TestShiftedOperator:
         rng = np.random.default_rng(1)
         b = rng.standard_normal(op.grid.shape)
         u = op.solve_direct(b)
-        assert np.max(np.abs(b - op.apply(u))) < 1e-10
+        assert np.max(np.abs(op.residual(u, b))) < 1e-10
 
     def test_diagonal_base_direct(self):
         op = ShiftedOperator(scalar_operator(-4.0), 0.5)
@@ -215,8 +223,93 @@ class TestShiftedOperator:
         assert coarse is op.coarsen()
         assert coarse is shifted_operator(HeatOperator(Grid(2, 8), 0.5, 4), 0.01)
         assert coarse.sigma == 0.01 and coarse.grid.n == 8
+        for w in op.smoother_weights("jacobi", 2.0 / 3.0):
+            with pytest.raises(ValueError):
+                w[0, 0] = 0.0  # shared by every caller
+
+
+class TestResidual:
+    @pytest.mark.parametrize("sigma", [0.0, 1e-3, 0.05, 2.0])
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("dim,n", [(1, 64), (2, 16), (3, 8)])
+    def test_matches_shifted_matrix(self, dim, n, order, sigma):
+        """b - (I - sigma*M) u with M the sparse operator matrix, within
+        1e-13 of the scale |b| + |I - sigma*M| |u| that bounds the
+        rounding of both sides."""
+        op = shifted(dim, n, sigma=sigma, nu=0.7, order=order)
+        rng = np.random.default_rng(dim * n + order)
+        u = rng.standard_normal(op.grid.shape)
+        b = rng.standard_normal(op.grid.shape)
+        a = (scipy.sparse.identity(op.grid.dof)
+             - sigma * operator_matrix(op.base)).tocsr()
+        expected = b.ravel() - a @ u.ravel()
+        scale = np.max(np.abs(b.ravel()) + abs(a) @ np.abs(u.ravel()))
+        np.testing.assert_allclose(op.residual(u, b).ravel(), expected,
+                                   rtol=0, atol=1e-13 * scale)
+
+    def test_leaves_inputs_unchanged(self):
+        op = shifted(3, 8, sigma=0.02, order=4)
+        rng = np.random.default_rng(3)
+        u, b = rng.standard_normal((2,) + op.grid.shape)
+        before = u.copy(), b.copy()
+        r = op.residual(u, b)
+        assert not (np.shares_memory(r, u) or np.shares_memory(r, b))
+        np.testing.assert_array_equal(u, before[0])
+        np.testing.assert_array_equal(b, before[1])
+
+    def test_shape_check(self):
+        op = shifted(2, 8)
         with pytest.raises(ValueError):
-            op.diagonal()[0] = 0.0  # shared by every caller
+            op.residual(np.zeros(7), np.zeros(7))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_factors_cached_read_only_with_contiguous_transposes(self, dim):
+        op = shifted(dim, 8, sigma=0.03, order=4)
+        along_x, along_yz = op._factors
+        assert op._factors[0] is along_x
+        d = op.base.factor[0]
+        np.testing.assert_array_equal(along_x[0], 0.03 * d - np.eye(7))
+        np.testing.assert_array_equal(along_yz[0], 0.03 * d)
+        for mat, mat_t in (along_x, along_yz):
+            np.testing.assert_array_equal(mat_t, mat.T)
+            assert mat_t.flags.c_contiguous
+            for a in (mat, mat_t):
+                with pytest.raises(ValueError):
+                    a[0, 0] = 1.0  # shared by every sweep and thread
+
+
+class TestSmootherWeights:
+    @pytest.mark.parametrize("omega", [1.0, 2.0 / 3.0])
+    @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16), (3, 8)])
+    def test_colour_weights_vanish_off_their_colour(self, dim, n, omega):
+        op = shifted(dim, n, sigma=0.02, order=4)
+        (w,) = op.smoother_weights("jacobi", omega)
+        np.testing.assert_array_equal(
+            w, omega / (1.0 - 0.02 * op.base.diagonal()))
+        red, black = op.smoother_weights("jor-rb", omega)
+        red_mask, black_mask = multigrid._colour_masks(op.grid.shape)
+        for weight, mask in ((red, red_mask), (black, black_mask)):
+            np.testing.assert_array_equal(weight[mask], w[mask])
+            assert np.all(weight[~mask] == 0.0)
+            assert not np.signbit(weight[~mask]).any()
+
+    def test_cached_per_smoother_and_omega_and_read_only(self):
+        op = shifted(2, 16, sigma=0.01)
+        weights = op.smoother_weights("jor-rb", 1.0)
+        assert op.smoother_weights("jor-rb", 1.0) is weights
+        assert op.smoother_weights("jor-rb", 0.5) is not weights
+        for w in weights + op.smoother_weights("jacobi", 1.0):
+            with pytest.raises(ValueError):
+                w[0, 0] = 1.0  # shared by every sweep and thread
+
+    @pytest.mark.parametrize("smoother,built", [
+        ("jacobi", {("jacobi", 0.8)}), ("jor-rb", {("jor-rb", 0.8)}),
+        ("gauss-seidel", set())])
+    def test_a_sweep_builds_only_its_own_weights(self, smoother, built):
+        op = shifted(2, 16, sigma=0.01)
+        smooth(op, np.zeros(op.grid.shape), np.ones(op.grid.shape),
+               MgConfig(smoother=smoother, omega=0.8), 1)
+        assert set(op._weights) == built
 
 
 class TestSmoothers:
@@ -226,7 +319,7 @@ class TestSmoothers:
         cfg = MgConfig(smoother=smoother)
         rng = np.random.default_rng(2)
         u = rng.standard_normal(op.grid.shape)
-        b = op.apply(u)
+        b = shifted_apply(op, u)
         out = smooth(op, u.copy(), b, cfg, 3)
         np.testing.assert_allclose(out, u, atol=1e-12)
 
@@ -237,7 +330,7 @@ class TestSmoothers:
         cfg = MgConfig(smoother=smoother)
         rng = np.random.default_rng(3)
         exact = rng.standard_normal(op.grid.shape)
-        b = op.apply(exact)
+        b = shifted_apply(op, exact)
         u = smooth(op, np.zeros_like(b), b, cfg, 4)
         assert np.linalg.norm(u - exact) < np.linalg.norm(exact)
 
@@ -374,9 +467,10 @@ class TestSmoothers:
     @pytest.mark.parametrize("count", [1, 3])
     def test_jor_rb_applies_twice_per_sweep(self, count, monkeypatch):
         calls = []
-        apply = HeatOperator.apply
-        monkeypatch.setattr(HeatOperator, "apply",
-                            lambda self, u: calls.append(1) or apply(self, u))
+        residual = ShiftedOperator.residual
+        monkeypatch.setattr(
+            ShiftedOperator, "residual",
+            lambda self, u, b: calls.append(1) or residual(self, u, b))
         op = shifted(3, 8, sigma=0.01, order=4)
         smooth(op, np.zeros(op.grid.shape), np.ones(op.grid.shape),
                MgConfig(smoother="jor-rb"), count)
@@ -421,7 +515,7 @@ class TestVCycle:
         cfg = MgConfig(smoother=smoother)
         rng = np.random.default_rng(5)
         exact = rng.standard_normal(op.grid.shape)
-        b = op.apply(exact)
+        b = shifted_apply(op, exact)
         u = v_cycle(op, np.zeros_like(b), b, cfg)
         assert np.linalg.norm(u - exact) < 0.5 * np.linalg.norm(exact)
 
@@ -433,7 +527,7 @@ class TestVCycle:
         cfg = MgConfig(smoother="gauss-seidel")
         rng = np.random.default_rng(6)
         exact = rng.standard_normal(op.grid.shape)
-        b = op.apply(exact)
+        b = shifted_apply(op, exact)
         u = v_cycle(op, np.zeros_like(b), b, cfg)
         assert np.linalg.norm(u - exact) <= 0.2 * np.linalg.norm(exact)
 
@@ -443,7 +537,14 @@ class TestVCycle:
         op = shifted(dim, 4, sigma=0.3, order=order)
         b = np.random.default_rng(13).standard_normal(op.grid.shape)
         u = v_cycle(op, np.zeros(op.grid.shape), b, MgConfig())
-        assert np.max(np.abs(b - op.apply(u))) < 1e-12
+        assert np.max(np.abs(op.residual(u, b))) < 1e-12
+
+
+def arrays_in(obj):
+    """The arrays of nested tuples of arrays."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    return [a for item in obj for a in arrays_in(item)]
 
 
 class TestFactorOwnership:
@@ -477,6 +578,29 @@ class TestFactorOwnership:
         assert len(splu_calls) == 4
         assert op.lu is op.lu
         assert op.gauss_seidel_factor is op.gauss_seidel_factor
+
+    def test_cache_clear_drops_weights_and_transposes(self, cold_caches):
+        # a fresh operator after cache_clear builds its own residual
+        # factors, smoother weights, heat factor and transfer matrices
+        def build():
+            op = shifted_operator(HeatOperator(Grid(2, 16)), 0.01)
+            v_cycle(op, np.zeros(op.grid.shape), np.ones(op.grid.shape),
+                    MgConfig(smoother="jor-rb"))
+            return (op, op._factors, op.smoother_weights("jor-rb", 2.0 / 3.0),
+                    op.base.factor, transfers._interp_matrix(16, 2),
+                    transfers._full_weighting_matrix(16))
+
+        first = build()
+        assert all(a is b for a, b in zip(build(), first))
+        for module in (heat, multigrid, transfers):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+        fresh = build()
+        assert fresh[0] is not first[0]
+        held = {id(a) for a in arrays_in(first[1:])}
+        assert len(held) == 12
+        assert not any(id(a) in held for a in arrays_in(fresh[1:]))
 
     def test_cache_clear_rebuilds_the_factors(self, splu_calls):
         op = shifted_operator(HeatOperator(Grid(2, 16)), 0.01)
@@ -549,11 +673,13 @@ class TestTransfersMatchSliceFormulas:
     def test_matrices(self, n):
         linear = transfers._interp_matrix(n, 2)
         restrict = transfers._full_weighting_matrix(n)
-        np.testing.assert_array_equal(linear, 2.0 * restrict.T)
-        np.testing.assert_array_equal(transfers._interp_matrix(n, 4),
-                                      ref_cubic_matrix(n))
-        for mat in (linear, restrict, transfers._interp_matrix(n, 4)):
-            assert not mat.flags.writeable
+        cubic = transfers._interp_matrix(n, 4)
+        np.testing.assert_array_equal(linear[0], 2.0 * restrict[0].T)
+        np.testing.assert_array_equal(cubic[0], ref_cubic_matrix(n))
+        for mat, mat_t in (linear, restrict, cubic):
+            np.testing.assert_array_equal(mat_t, mat.T)
+            assert mat_t.flags.c_contiguous
+            assert not (mat.flags.writeable or mat_t.flags.writeable)
 
 
 class TestTransfersRoundTrip:
@@ -574,7 +700,7 @@ class TestSolvePolicies:
         b = rng.standard_normal(op.grid.shape)
         res = solve(op, np.zeros_like(b), b, MgConfig(), Direct())
         assert res.status == "direct" and res.cycles == 0
-        assert np.max(np.abs(b - op.apply(res.u))) < 1e-10
+        assert np.max(np.abs(op.residual(res.u, b))) < 1e-10
 
     def test_fixed_cycles_reports_count(self):
         op = shifted(1, 32, sigma=0.05)
@@ -599,7 +725,7 @@ class TestSolvePolicies:
         res = solve(op, np.zeros_like(b), b,
                     MgConfig(smoother="gauss-seidel"), ToTolerance(1e-10))
         assert res.status == "converged"
-        rel = np.linalg.norm(b - op.apply(res.u)) / np.linalg.norm(b)
+        rel = np.linalg.norm(op.residual(res.u, b)) / np.linalg.norm(b)
         assert rel <= 1e-10
 
     def test_tolerance_stall_detection(self):

@@ -16,7 +16,8 @@ from pintlab.cli import PRESETS, build_levels
 from pintlab.config import parse_config
 from pintlab.heat import Grid, HeatOperator, initial_condition, scalar_operator
 from pintlab.hierarchy import Level, TimeStep, interpolate_up, mlsdc_iteration
-from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
+from pintlab.multigrid import (Direct, FixedCycles, MgConfig,
+                               ShiftedOperator, ToTolerance)
 from pintlab.pfasst import PfasstResult, _BlockEngine, _run_block, pfasst_run
 from pintlab.quadrature import uniform_table
 from pintlab.sdc import NodeStates, SubStepError, residual, run_sdc, sdc_sweep
@@ -215,7 +216,7 @@ def reference_mlsdc(levels, u0, t_end, n_steps, tol, max_iter):
         ts = TimeStep.spread(levels, u[None])  # one rank
         if len(levels) > 1:
             spread_copies = [NodeStates(s.table, s.y.copy(), s.f.copy())
-                             for s in ts.states]
+                             for s in ts.states[1:]]
             lc = len(levels) - 1
             out.vcycles += int(sdc_sweep(ts.states[lc], dt,
                                          levels[lc].operator,
@@ -352,23 +353,31 @@ class TestOperatorApplies:
     def test_weak_scaling_apply_count(self, monkeypatch):
         # the ipfasst-1d benchmark configuration; node 0 carries no
         # quadrature weight, so no apply at node 0 belongs in this count.
-        # Each call applies the operator to a stack of grids: count the
-        # grids (rows), and the calls beside them: one per f-cache refresh
-        # of all nodes, not one per node
+        # Each call applies an operator to a stack of grids: count the
+        # grids (rows), and the calls beside them.  The heat operator
+        # refreshes f-caches, one call for all nodes, not one per node;
+        # the shifted operators' residuals serve the smoothers and V-cycles
         levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
                                                 n_t=32, p=32)
-        rows = []
+        rows = {"apply": [], "residual": []}
         apply = HeatOperator.apply
+        residual_of = ShiftedOperator.residual
 
         def counting_apply(self, u):
-            rows.append(u.size // self.grid.dof)
+            rows["apply"].append(u.size // self.grid.dof)
             return apply(self, u)
 
+        def counting_residual(self, u, b):
+            rows["residual"].append(u.size // self.grid.dof)
+            return residual_of(self, u, b)
+
         monkeypatch.setattr(HeatOperator, "apply", counting_apply)
+        monkeypatch.setattr(ShiftedOperator, "residual", counting_residual)
         res = pfasst_run(levels, u0, t_end, **kwargs)
         assert res.iterations[-1] == 9
-        assert sum(rows) == 37_781
-        assert len(rows) == 5_458
+        assert sum(map(sum, rows.values())) == 37_781
+        assert {k: len(v) for k, v in rows.items()} == {"apply": 428,
+                                                        "residual": 5_030}
 
 
 class TestPredictor:
@@ -502,8 +511,9 @@ class TestValidation:
 
 
 class TestSharedSpread:
-    """Every rank of a block starts from a copy of one read-only spread,
-    held in one rank-axis array per level and field."""
+    """Every rank of a block starts from a copy of one spread, held in one
+    rank-axis array per level and field; the coarse levels' spread, which
+    the predictor reads after burn-in, stays read-only."""
 
     @staticmethod
     def arrays(states):
@@ -529,7 +539,8 @@ class TestSharedSpread:
         assert [engine.iterations] == pfasst_run(
             levels, u0, t_end, **kwargs).rank_iterations
         self.assert_private(engine)
-        fresh = TimeStep.spread(levels, u0[None]).states
+        fresh = TimeStep.spread(levels, u0[None]).states[1:]
+        assert len(engine.spread) == len(fresh) == len(levels) - 1
         for a, b in zip(self.arrays(engine.spread), self.arrays(fresh)):
             np.testing.assert_array_equal(a, b)
 
