@@ -43,6 +43,9 @@ class Grid:
             raise ValueError(f"dim must be 1, 2, or 3, got {self.dim}")
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError(f"n must be a power of two >= 2, got {self.n}")
+        if not 0.0 < self.length < np.inf:  # NaN fails every comparison
+            raise ValueError(f"length must be finite and positive, "
+                             f"got {self.length}")
 
     @property
     def dx(self) -> float:
@@ -207,6 +210,8 @@ class HeatOperator:
     def __post_init__(self):
         if self.order not in (2, 4):
             raise ValueError(f"stencil order must be 2 or 4, got {self.order}")
+        if not np.isfinite(self.nu):
+            raise ValueError(f"diffusivity must be finite, got {self.nu}")
 
     @cached_property
     def factor(self) -> tuple[np.ndarray, np.ndarray]:

@@ -146,22 +146,6 @@ def operator_matrix(op: HeatOperator) -> scipy.sparse.csr_matrix:
     return (op.nu * total).tocsr()
 
 
-@lru_cache(maxsize=GRID_CACHE_SIZE)
-def _colour_masks(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (red, black) masks: red points have an even grid
-    coordinate sum (grid indices start at 1)."""
-    total = np.zeros(shape, dtype=int)
-    for axis, npts in enumerate(shape):
-        s = [1] * len(shape)
-        s[axis] = npts
-        total = total + np.arange(1, npts + 1).reshape(s)
-    red = total % 2 == 0
-    black = ~red
-    red.setflags(write=False)
-    black.setflags(write=False)
-    return red, black
-
-
 class ShiftedOperator:
     """I - sigma * A for a heat right-hand-side operator A.
 
@@ -203,13 +187,15 @@ class ShiftedOperator:
         """Read-only weights of a Jacobi or red-black JOR sweep, one per
         half-sweep: (omega / diag,) for jacobi; for jor-rb the red and the
         black weight, each omega / diag on its colour and zero off it.
-        Built on first use of each (smoother, omega)."""
+        Red points have an even grid coordinate sum (grid indices start
+        at 1).  Built on first use of each (smoother, omega)."""
         key = (smoother, omega)
         if key not in self._weights:
             w = omega / (1.0 - self.sigma * self.base.diagonal())
+            shape = self.grid.shape
+            red = (np.indices(shape).sum(axis=0) + len(shape)) % 2 == 0
             weights = ((w,) if smoother == "jacobi" else
-                       tuple(np.where(mask, w, 0.0)
-                             for mask in _colour_masks(self.grid.shape)))
+                       (np.where(red, w, 0.0), np.where(red, 0.0, w)))
             for a in weights:
                 a.setflags(write=False)
             self._weights[key] = weights

@@ -13,32 +13,32 @@ values it wrote.
 A block holds each level's node states for all its ranks in one
 node-first array, (node, rank, *grid), and ranks that do the same work
 at the same time run as one batched call on a contiguous slice of it;
-every layer below gives each rank the bits it gets alone.  The ranks
-are split into `workers` contiguous groups, one thread each (the calling
-thread runs the first), and each group runs `_run_group`:
+every layer below gives each rank the bits it gets alone.  One loop in
+the calling thread, `_run_block`, runs a block's schedule step by step:
 
 - the predictor as wavefronts: phase j of rank r needs its
   predecessor's phase j and its own phase j - 1, so wavefront w burns in
-  phase w - r of every rank r of the group in one call;
-- the predictor's interpolation to the fine levels, once for the group;
+  phase w - r of every rank r in one step;
+- the predictor's interpolation to the fine levels, in one step;
 - the iteration rounds: in round j every running rank r runs its
   iteration j - r from its predecessor's values of round j - 1, so the
-  running ranks, a contiguous range, iterate in one call.
+  running ranks, a contiguous range, iterate in one step.
 
-The groups run every wavefront and every round in lockstep on one
-barrier: each reads its predecessors' values, waits until every group has
-read, writes, and waits until every group has written.  The serial
-executor is one group; the threaded executor has min(p, cores).  Every
-rank reads the same values however the ranks are grouped, so both
-produce bitwise-identical iterates.
+A step first reads every rank's predecessor values, then computes its
+ranks in parts cut at the bounds p*w // W of W = min(p, cores) groups
+(W = 1 for the serial executor), the calling thread the first part and a
+pool of W - 1 threads the others, and records the results once every
+part has returned.  Every rank reads the same values however the step is
+cut, so both executors produce bitwise-identical iterates.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
 import contextvars
 import itertools
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,24 +92,34 @@ class PfasstResult:
         return [step for step, ok in enumerate(flags) if not ok]
 
 
+def _parts(first: int, stop: int, p: int,
+           workers: int) -> list[tuple[int, int]]:
+    """Ranks first..stop-1 cut into contiguous parts at the group bounds
+    p*w // workers, which rise strictly as workers <= p; no part is
+    empty."""
+    bounds = (p * w // workers for w in range(1, workers))
+    cuts = [first, *(c for c in bounds if first < c < stop), stop]
+    return list(zip(cuts, cuts[1:]))
+
+
 class _BlockEngine:
     """Shared state and batched procedures for one block of steps.
 
-    Each procedure runs a contiguous range of ranks, first..stop-1, as one
-    batch: a view of the block's rank-axis arrays.  A procedure that reads
-    its predecessors' arrays does so first, then waits on `barrier` until
-    every group has read, and only then writes; with no ranks it only
-    waits."""
+    Each procedure runs one step on a contiguous range of ranks,
+    first..stop-1: it reads their predecessors' values, computes the
+    parts that `_parts` cuts the range into (the calling thread the first,
+    the `pool` of workers - 1 threads the others), and records the
+    results."""
 
-    def __init__(self, levels, dt, tol, max_iter, u0, p, workers,
+    def __init__(self, levels, dt, tol, max_iter, u0, p, workers, pool,
                  record_final_values=False):
         self.levels = levels
         self.dt = dt
         self.tol = tol
         self.max_iter = max_iter
         self.p = p
-        # one party per group; the groups run each step in lockstep
-        self.barrier = threading.Barrier(workers)
+        self.workers = workers
+        self.pool = pool
         # every rank starts from the same spread
         spread = TimeStep.spread(levels, u0[None]).states
         # each level's node states of all ranks, (node, rank, *grid)
@@ -125,7 +135,6 @@ class _BlockEngine:
         self.trace: list[TraceRow] = []
         self.record_final_values = record_final_values
         self.final_values: list[np.ndarray] = []
-        self._lock = threading.Lock()
 
     def ranks(self, first: int, stop: int) -> TimeStep:
         """The steps of ranks first..stop-1, as views of the block's
@@ -133,6 +142,22 @@ class _BlockEngine:
         return TimeStep(self.levels, [
             NodeStates(s.table, s.y[:, first:stop], s.f[:, first:stop])
             for s in self.states])
+
+    def _in_parts(self, compute, first: int, stop: int) -> list:
+        """compute(a, b) on each part a..b-1 of ranks first..stop-1, the
+        pool's in copies of the caller's context (so that np.errstate
+        holds there too).  Once every part has returned: their results in
+        rank order, or the first failing part's error."""
+        (a, b), *rest = _parts(first, stop, self.p, self.workers)
+        if not rest:
+            return [compute(a, b)]
+        futures = [self.pool.submit(contextvars.copy_context().run,
+                                    compute, *part) for part in rest]
+        try:
+            head = compute(a, b)
+        finally:
+            concurrent.futures.wait(futures)
+        return [head, *(f.result() for f in futures)]
 
     # ------------------------------------------------------------------
     # predictor
@@ -145,13 +170,14 @@ class _BlockEngine:
         # the value read at phase r - 1 is still the coarsest node 0
         low = max(first, wave // 2 + 1)
         coarsest[0, low:stop] = coarsest[-1, low - 1:stop - 1]
-        self.barrier.wait()
-        if first < stop:
-            self.vcycles[first:stop] += burn_in(self.ranks(first, stop),
-                                                self.dt)
+        cycles = self._in_parts(
+            lambda a, b: burn_in(self.ranks(a, b), self.dt), first, stop)
+        self.vcycles[first:stop] += np.concatenate(cycles)
 
     def predictor_finalize(self, first: int, stop: int) -> None:
-        interpolate_up(self.ranks(first, stop), self.spread)
+        self._in_parts(
+            lambda a, b: interpolate_up(self.ranks(a, b), self.spread),
+            first, stop)
 
     # ------------------------------------------------------------------
     # main iteration
@@ -163,85 +189,51 @@ class _BlockEngine:
         fine, coarsest = self.states[0].y, self.states[-1].y
         low = max(first, 1)  # rank 0 has no predecessor
         fine[0, low:stop] = fine[-1, low - 1:stop - 1]
+        # a copy: the predecessor, in the same step, overwrites its own
         coarse_y0 = coarsest[-1, low - 1:stop - 1].copy()
         pred_frozen = [rank == 0 or self.converged[rank - 1]
                        for rank in range(first, stop)]
-        self.barrier.wait()
-        if first >= stop:
-            return
-        ts = self.ranks(first, stop)
-        cycles = mlsdc_iteration(ts, self.dt, coarse_y0)
-        res = residual(ts.states[0], self.dt)
+
+        def compute(a, b):
+            ts = self.ranks(a, b)
+            cycles = mlsdc_iteration(ts, self.dt,
+                                     coarse_y0[max(a, 1) - low:b - low])
+            return cycles, residual(ts.states[0], self.dt)
+
+        cycles, res = (np.concatenate(x)
+                       for x in zip(*self._in_parts(compute, first, stop)))
         self.vcycles[first:stop] += cycles
-        with self._lock:
-            for i, rank in enumerate(range(first, stop)):
-                self.iterations[rank] = j - rank
-                self.converged[rank] = bool(res[i] <= self.tol
-                                            and pred_frozen[i])
-                self.trace.append(TraceRow(block, rank, j - rank, 0,
-                                           float(res[i]), int(cycles[i])))
-            if self.record_final_values and stop == self.p:
-                self.final_values.append(fine[-1, -1].copy())
+        for i, rank in enumerate(range(first, stop)):
+            self.iterations[rank] = j - rank
+            self.converged[rank] = bool(res[i] <= self.tol
+                                        and pred_frozen[i])
+            self.trace.append(TraceRow(block, rank, j - rank, 0,
+                                       float(res[i]), int(cycles[i])))
+        if self.record_final_values and stop == self.p:
+            self.final_values.append(fine[-1, -1].copy())
 
 
-def _run_group(engine: _BlockEngine, block: int, first: int,
-               stop: int) -> None:
-    """Ranks first..stop-1 of a block, in lockstep with the other groups:
-    the predictor's wavefronts, then the iteration rounds, each one
-    batched call that is empty when no rank of the group takes part, and
-    a wait on the barrier at the end of each.  Returns once every rank
-    has frozen or run max_iter iterations."""
-    p, wait = engine.p, engine.barrier.wait
+def _run_block(engine: _BlockEngine, block: int) -> None:
+    """The block's schedule in the calling thread, each step one call on
+    every rank taking part: the predictor's wavefronts, its interpolation
+    to the fine levels, then the iteration rounds until every rank has
+    frozen or run max_iter iterations.  A step that raises ends the
+    block."""
+    p = engine.p
     if len(engine.levels) > 1:  # one level (SDC): nothing to burn in on
         # rank r runs phases 0..r, and phase j in wavefront r + j
         for wave in range(2 * p - 1):
-            engine.predictor_phase(max(first, (wave + 1) // 2),
-                                   min(stop, wave + 1), wave)
-            wait()
-        engine.predictor_finalize(first, stop)
+            engine.predictor_phase((wave + 1) // 2, min(p, wave + 1), wave)
+        engine.predictor_finalize(0, p)
     for j in itertools.count(1):
         # ranks below j - max_iter have run max_iter iterations, the
         # converged ranks are frozen (a prefix, as a rank converges only
         # once its predecessor has), and rank r starts iterating in
-        # round r + 1.  Every group reads the same flags here.
+        # round r + 1
         low = max(j - engine.max_iter, sum(engine.converged))
         if low >= p:
             return
-        engine.rank_iteration(max(first, low), min(stop, j), j, block)
-        wait()
-
-
-def _run_block(engine: _BlockEngine, block: int) -> None:
-    """Runs the block on one thread per party of the engine's barrier,
-    each running `_run_group` on a contiguous group of ranks; the calling
-    thread runs the first group.  A group that raises breaks the barrier,
-    so every other group stops at its next wait, and the first such
-    exception is raised here after the join."""
-    failures: list[BaseException] = []
-
-    def run(first: int, stop: int) -> None:
-        try:
-            _run_group(engine, block, first, stop)
-        except threading.BrokenBarrierError:
-            pass
-        except BaseException as exc:  # re-raised in the calling thread
-            failures.append(exc)
-            engine.barrier.abort()
-
-    workers = engine.barrier.parties
-    bounds = [engine.p * w // workers for w in range(workers + 1)]
-    # each group runs in a copy of the caller's context, so that NumPy's
-    # error state (np.errstate) holds in its thread too
-    threads = [threading.Thread(target=contextvars.copy_context().run,
-                                args=(run, first, stop))
-               for first, stop in zip(bounds[1:-1], bounds[2:])]
-    for t in threads:
-        t.start()
-    run(bounds[0], bounds[1])
-    for t in threads:
-        t.join()
-    if failures:
-        raise failures[0]
+        engine.rank_iteration(low, min(p, j), j, block)
 
 
 def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
@@ -270,17 +262,20 @@ def pfasst_run(levels: list[Level], u0: np.ndarray, t_end: float, p: int,
     workers = 1 if executor == "serial" else min(p, os.cpu_count() or 1)
     dt = t_end / (p * blocks)
     result = PfasstResult(u=u0)
-    for block in range(blocks):
-        engine = _BlockEngine(levels, dt, tol, max_iter, result.u, p,
-                              workers, record_final_values)
-        _run_block(engine, block)
-        result.u = engine.states[0].y[-1, -1].copy()
-        result.rank_iterations.append(list(engine.iterations))
-        result.rank_vcycles.append(engine.vcycles.tolist())
-        result.converged.append(list(engine.converged))
-        # threaded workers append trace rows in wall-clock order; normalize
-        result.trace.extend(sorted(
-            engine.trace, key=lambda r: (r.iteration, r.rank, r.level)))
-        result.final_values.append(list(engine.final_values))
-        del engine  # not alive while the next block's engine is built
+    # the pool's threads live for the whole run; one worker starts none
+    with (concurrent.futures.ThreadPoolExecutor(workers - 1) if workers > 1
+          else contextlib.nullcontext()) as pool:
+        for block in range(blocks):
+            engine = _BlockEngine(levels, dt, tol, max_iter, result.u, p,
+                                  workers, pool, record_final_values)
+            _run_block(engine, block)
+            result.u = engine.states[0].y[-1, -1].copy()
+            result.rank_iterations.append(list(engine.iterations))
+            result.rank_vcycles.append(engine.vcycles.tolist())
+            result.converged.append(list(engine.converged))
+            # rows come round by round; the result lists them by iteration
+            result.trace.extend(sorted(
+                engine.trace, key=lambda r: (r.iteration, r.rank, r.level)))
+            result.final_values.append(list(engine.final_values))
+            del engine  # not alive while the next block's engine is built
     return result

@@ -83,6 +83,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(4, 8)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_length(self, bad):
+        with pytest.raises(ValueError, match="length"):
+            Grid(1, 16, bad)
+
     def test_coarsen_halves(self):
         assert Grid(3, 16).coarsen() == Grid(3, 8)
         with pytest.raises(ValueError):
@@ -224,6 +229,11 @@ class TestStencils:
         with pytest.raises(ValueError):
             HeatOperator(Grid(1, 8), order=3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_diffusivity(self, bad):
+        with pytest.raises(ValueError, match="diffusivity"):
+            HeatOperator(Grid(1, 8), bad)
+
     @given(st.integers(1, 3), st.sampled_from([2, 4]),
            st.floats(0.1, 10.0), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
@@ -323,6 +333,10 @@ class TestScalarOperator:
         np.testing.assert_allclose(op.apply(np.array([3.0])), [-6.0])
         np.testing.assert_allclose(op.diagonal(), [-2.0])
         assert op.grid.shape == (1,)
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0, 5e-324, -1.7e308, 1.7e308])
+    def test_builds_for_every_finite_lambda(self, lam):
+        assert np.isfinite(scalar_operator(lam).diagonal()).all()
 
     @pytest.mark.parametrize("lam", SCALAR_LAMBDAS)
     def test_apply_diagonal_and_matrix_are_exactly_lambda(self, lam):

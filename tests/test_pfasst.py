@@ -1,10 +1,12 @@
 """Tests for the pipelined time-parallel engine."""
 
 import os
+import random
 import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -110,11 +112,10 @@ class TestEquivalences:
     def test_serial_and_threaded_executors_bitwise_identical(self, case,
                                                              deadline,
                                                              monkeypatch):
-        # on any core count; with p=8 on 3 cores the threaded executor's
-        # groups hold 2, 3 and 3 ranks.  A short switch interval makes the
-        # workers interleave often, so that a group reading a value
-        # another group has not yet written, or has already overwritten,
-        # changes the bits
+        # on any core count; with p=8 on 3 cores the threaded executor
+        # cuts each step at ranks 2 and 5.  A short switch interval makes
+        # the parts of a step interleave often, so that a part reading a
+        # value another part writes in the same step changes the bits
         levels, u0, t_end, kwargs, rank_iterations = PIPELINE_CASES[case]()
         a = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
         assert a.rank_iterations == rank_iterations
@@ -128,6 +129,33 @@ class TestEquivalences:
                 assert_bitwise_equal(a, b)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+    def test_bits_do_not_depend_on_how_a_step_is_cut(self, case, deadline,
+                                                     monkeypatch):
+        # every step cut into seeded random contiguous parts, from one
+        # part to one per rank, on a pool of one thread that interleaves
+        # often with the calling thread
+        levels, u0, t_end, kwargs, _ = PIPELINE_CASES[case]()
+        a = pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
+        rng = random.Random(case)
+
+        def random_parts(first, stop, p, workers):
+            inner = rng.sample(range(first + 1, stop),
+                               rng.randint(0, stop - first - 1))
+            cuts = [first, *sorted(inner), stop]
+            return list(zip(cuts, cuts[1:]))
+
+        monkeypatch.setattr(pfasst, "_parts", random_parts)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            b = deadline(pfasst_run, levels, u0, t_end, executor="threaded",
+                         **kwargs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_bitwise_equal(a, b)
 
     @pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
     def test_round_robin_equals_phase_major_schedule(self, case,
@@ -532,10 +560,12 @@ class TestSharedSpread:
     def test_spread_is_read_only_and_never_shared(self, workers, deadline):
         levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
                                                 n_t=4, p=4)
-        engine = _BlockEngine(levels, t_end / 4, kwargs["tol"],
-                              kwargs["max_iter"], u0, 4, workers)
-        self.assert_private(engine)
-        deadline(_run_block, engine, 0)
+        with ThreadPoolExecutor(1) as pool:
+            engine = _BlockEngine(levels, t_end / 4, kwargs["tol"],
+                                  kwargs["max_iter"], u0, 4, workers,
+                                  pool if workers > 1 else None)
+            self.assert_private(engine)
+            deadline(_run_block, engine, 0)
         assert [engine.iterations] == pfasst_run(
             levels, u0, t_end, **kwargs).rank_iterations
         self.assert_private(engine)
@@ -579,24 +609,33 @@ class TestCachedSetup:
 
 
 class TestWorkers:
-    """The threaded executor splits the ranks into min(p, cores)
-    contiguous groups of near-equal size, one thread each; the calling
-    thread runs the first group."""
+    """The threaded executor cuts each step into parts at the bounds
+    p*w // W of W = min(p, cores) groups; the calling thread computes the
+    first part and a pool of W - 1 threads the others."""
 
     @pytest.mark.parametrize("p, cores", [(8, 3), (2, 3), (4, 1)])
-    def test_each_thread_owns_a_contiguous_range_of_ranks(self, p, cores,
-                                                          deadline,
-                                                          monkeypatch):
-        owners = {}
-        iteration = _BlockEngine.rank_iteration
+    def test_each_step_is_cut_at_the_group_bounds(self, p, cores, deadline,
+                                                  monkeypatch):
+        # every part of a step asks for its ranks' views once, in the
+        # thread that computes it
+        steps = []
+        ranks = _BlockEngine.ranks
 
-        def recording_iteration(engine, first, stop, j, block):
-            owners.setdefault(threading.get_ident(), set()).update(
-                range(first, stop))
-            iteration(engine, first, stop, j, block)
+        def recording(step):
+            def recorded(engine, first, stop, *args):
+                steps.append(((first, stop), []))
+                step(engine, first, stop, *args)
+            return recorded
 
-        monkeypatch.setattr(_BlockEngine, "rank_iteration",
-                            recording_iteration)
+        def recording_ranks(engine, first, stop):
+            steps[-1][1].append((first, stop, threading.get_ident()))
+            return ranks(engine, first, stop)
+
+        for name in ("predictor_phase", "predictor_finalize",
+                     "rank_iteration"):
+            monkeypatch.setattr(_BlockEngine, name,
+                                recording(getattr(_BlockEngine, name)))
+        monkeypatch.setattr(_BlockEngine, "ranks", recording_ranks)
         monkeypatch.setattr(os, "cpu_count", lambda: cores)
         levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
                                                 n_t=p, p=p, max_iter=3)
@@ -606,48 +645,108 @@ class TestWorkers:
             return threading.get_ident()
 
         caller = deadline(run)
-        assert len(owners) == min(p, cores)
-        groups = sorted(sorted(ranks) for ranks in owners.values())
-        assert [rank for group in groups for rank in group] == list(range(p))
-        assert all(group == list(range(group[0], group[-1] + 1))
-                   for group in groups)
-        sizes = [len(group) for group in groups]
-        assert max(sizes) - min(sizes) <= 1
-        assert 0 in owners[caller]
+        workers = min(p, cores)
+        bounds = [p * w // workers for w in range(1, workers)]
+        assert steps
+        assert any(len(parts) > 1 for _, parts in steps) == (workers > 1)
+        for (first, stop), parts in steps:
+            cuts = [first, *(c for c in bounds if first < c < stop), stop]
+            assert sorted(part[:2] for part in parts) \
+                == list(zip(cuts, cuts[1:]))
+            threads = {part[:2]: part[2] for part in parts}
+            assert threads.pop((first, cuts[1])) == caller
+            assert caller not in threads.values()
 
     def test_failing_rank_stops_every_worker(self, deadline, monkeypatch):
-        # groups [0, 2), [2, 5) and [5, 8): rank 2 fails in its first
-        # iteration (round 3), and rank 1 waits for the broken barrier
-        # before its second (also round 3).  The last group waits on the
-        # barrier, so the run returns only if breaking it stops both other
-        # groups.
-        last = {}
-        iteration = _BlockEngine.rank_iteration
+        # p=8 on 3 workers: round 3 runs ranks 0..2 in the parts [0, 2),
+        # computed by the calling thread, and [2, 3), computed by the
+        # pool, where rank 2 fails in its first iteration.  The run raises
+        # that error, and no rank records round 3 or a later one.
+        rounds, engines = [], []
+        ranks, iteration = _BlockEngine.ranks, _BlockEngine.rank_iteration
 
-        def failing_iteration(engine, first, stop, j, block):
-            if first <= 2 < stop:
-                raise RuntimeError("rank 2 failed")
-            if first <= 1 < stop and j - 1 == 2:
-                give_up = time.monotonic() + 30
-                while (not engine.barrier.broken
-                       and time.monotonic() < give_up):
-                    time.sleep(1e-3)
-            for rank in range(first, stop):
-                last[rank] = j - rank
+        def recording_iteration(engine, first, stop, j, block):
+            rounds.append(j)
+            engines.append(engine)
             iteration(engine, first, stop, j, block)
 
+        def failing_ranks(engine, first, stop):
+            if rounds[-1:] == [3] and first <= 2 < stop:
+                raise RuntimeError(f"rank 2 failed in {first}..{stop - 1}")
+            return ranks(engine, first, stop)
+
         monkeypatch.setattr(_BlockEngine, "rank_iteration",
-                            failing_iteration)
+                            recording_iteration)
+        monkeypatch.setattr(_BlockEngine, "ranks", failing_ranks)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
                                                 n_t=8, p=8, tol=1e-300,
                                                 max_iter=5)
-        with pytest.raises(RuntimeError, match="rank 2 failed"):
+        with pytest.raises(RuntimeError, match=r"rank 2 failed in 2\.\.2"):
             deadline(pfasst_run, levels, u0, t_end, executor="threaded",
                      **kwargs)
-        # the first group ends the round in which the barrier broke
-        # instead of running to max_iter
-        assert last[0] <= 3 and last[1] <= 2
+        assert rounds == [1, 2, 3]
+        assert engines[-1].iterations == [2, 1] + [0] * 6
+        assert max(row.rank + row.iteration
+                   for row in engines[-1].trace) == 2
+
+    def test_failing_part_returns_after_the_other_parts(self, deadline,
+                                                        monkeypatch):
+        # the calling thread's part of round 3 (ranks 0 and 1) fails at
+        # once, while the pool's part (rank 2) is still running: the error
+        # leaves the step only after that part has returned
+        rounds, finished, finished_at_error = [], [], []
+        ranks, iteration = _BlockEngine.ranks, _BlockEngine.rank_iteration
+
+        def recording_iteration(engine, first, stop, j, block):
+            rounds.append(j)
+            try:
+                iteration(engine, first, stop, j, block)
+            except RuntimeError:
+                finished_at_error.extend(finished)
+                raise
+
+        def failing_ranks(engine, first, stop):
+            if rounds[-1:] == [3]:
+                if first == 0:
+                    raise RuntimeError("the caller's part failed")
+                time.sleep(0.05)
+            return ranks(engine, first, stop)
+
+        def recording_residual(states, dt):
+            out = residual(states, dt)
+            finished.append(rounds[-1])
+            return out
+
+        monkeypatch.setattr(_BlockEngine, "rank_iteration",
+                            recording_iteration)
+        monkeypatch.setattr(_BlockEngine, "ranks", failing_ranks)
+        monkeypatch.setattr(pfasst, "residual", recording_residual)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
+                                                n_t=8, p=8, tol=1e-300,
+                                                max_iter=5)
+        with pytest.raises(RuntimeError, match="caller's part failed"):
+            deadline(pfasst_run, levels, u0, t_end, executor="threaded",
+                     **kwargs)
+        assert rounds == [1, 2, 3]
+        assert finished_at_error.count(3) == 1
+
+    def test_serial_executor_starts_no_thread(self, monkeypatch):
+        # counted inside every part of every step
+        counts = []
+        ranks = _BlockEngine.ranks
+
+        def counting_ranks(engine, first, stop):
+            counts.append(threading.active_count())
+            return ranks(engine, first, stop)
+
+        monkeypatch.setattr(_BlockEngine, "ranks", counting_ranks)
+        levels, u0, t_end, kwargs = preset_case("weak-scaling", n_x=32,
+                                                n_t=8, p=8, max_iter=3)
+        before = threading.active_count()
+        pfasst_run(levels, u0, t_end, executor="serial", **kwargs)
+        assert counts and set(counts) == {before}
 
     def test_no_worker_outlives_the_run(self, deadline, monkeypatch):
         # 6 ranks on 3 workers, run once cleanly and once failing
@@ -671,7 +770,7 @@ class TestFailures:
     @pytest.mark.parametrize("executor", ["serial", "threaded"])
     def test_substep_failure_raises_promptly(self, executor, deadline):
         # weak-scaling levels where one V-cycle cannot reach 1e-15: rank 0
-        # fails in its predictor while rank 1 waits on the barrier
+        # fails in the predictor's first wavefront, and no later step runs
         cfg = parse_config(None, {"n_x": "32", "n_t": "2", "p": "2"},
                            experiment="weak-scaling", **PRESETS["weak-scaling"])
         levels = [replace(lvl, policy=ToTolerance(tol=1e-15, max_cycles=1))

@@ -117,10 +117,12 @@ class TestBenchmarkInterface:
                 missing.add(f"{module}.{path}")
         assert missing <= STALE_TRACER_TARGETS
 
-    @pytest.mark.parametrize("name", ["isdc-3d-gs-tol", "ipfasst-1d"])
+    @pytest.mark.parametrize("name", ["isdc-3d-gs-tol", "ipfasst-1d",
+                                      "ipfasst-3d"])
     def test_solve_and_check_run_clean(self, perfbench, name):
         # reaches run_sdc, pfasst_run(executor=...), vcycles and
-        # total_vcycles as the benchmark does
+        # total_vcycles as the benchmark does; ipfasst-3d is the only
+        # workload on red-black JOR and under the analytic check
         workloads, _ = perfbench
         setup = workloads.set_up(name)
         out = workloads.solve(setup)
