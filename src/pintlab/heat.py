@@ -240,7 +240,8 @@ def scalar_operator(lam: float) -> HeatOperator:
     """The scalar model problem y' = lam * y as a one-point heat operator.
 
     The order-2 Laplacian on the one interior point of Grid(1, 2) is -8
-    exactly, and dividing by 8 is exact, so apply, diagonal and the
-    operator matrix give exactly lam.
+    exactly, so apply, diagonal and the operator matrix give exactly lam
+    where dividing by 8 is exact: for lam = 0 and |lam| >= 8 * 2**-1022.
+    Below that, lam / 8 is subnormal and may round (to 0 at 5e-324).
     """
     return HeatOperator(Grid(1, 2), -lam / 8)

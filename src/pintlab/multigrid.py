@@ -22,7 +22,10 @@ grid the triangle is a read-only band of order/2 + 1 diagonals, and a
 sweep is one LAPACK banded solve (dtbtrs); in 2D and 3D, where the band
 would be (n-1)^(dim-1) wide, it is a SuperLU factor that stores only the
 triangle's nonzeros.  All are built on first use, so a V-cycle only
-applies operators and runs prefactored solves.
+applies operators and runs prefactored solves.  The threads of the
+threaded time-parallel executor share these factors and solve on them
+with no lock: dtbtrs and SuperLU only read a factor, and the thread tests
+check that every such solve gets the bits of the serial one.
 
 Every array may stack grids on leading axes (the ranks of a PFASST
 block), and each stacked grid gets the bits that it gets alone.  A 1D
@@ -35,7 +38,6 @@ each grid at its own cycle count and report its own status.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Union
@@ -100,15 +102,6 @@ class Direct:
 
 SolvePolicy = Union[FixedCycles, ToTolerance, Direct]
 
-# SuperLU's triangular solves are not safe to call concurrently in this
-# stack; serialize them.  Each runs on a cached factor in time proportional
-# to its nonzeros (a 2D or 3D Gauss-Seidel sweep's forward substitution, a
-# tiny coarsest-level system, or a direct solve), so contention under the
-# threaded time-parallel executor stays small.  The 1D Gauss-Seidel sweep
-# takes no lock: dtbtrs only reads the shared band and solves in the
-# sweep's own residual array.
-_FACTOR_SOLVE_LOCK = threading.Lock()
-
 # Bounds of the module-level caches.  A solve uses one entry per grid of
 # its V-cycle chains, and one per (grid, shift) pair: a few dozen in the
 # benchmark workloads and the acceptance studies.  The bounds leave room
@@ -122,7 +115,7 @@ COARSEST_N = 4  # V-cycles solve grids this coarse directly
 
 class MultigridError(RuntimeError):
     """Tolerance solve hit the cycle cap without converging or stalling,
-    or its residual is not finite."""
+    or its residual is not finite, or I - sigma*A itself is not."""
 
     def __init__(self, message, residual, cycles):
         super().__init__(message)
@@ -162,6 +155,10 @@ class ShiftedOperator:
         self._coarse = None
         self._weights = {}
         self.coarsest = base.grid.n <= COARSEST_N  # V-cycles solve directly
+        # an overflowed operator would fail in SuperLU or yield NaN states
+        if not np.isfinite(self._factors[0][0]).all():
+            raise MultigridError(f"I - sigma*A is not finite (sigma = "
+                                 f"{sigma:.6g}, nu = {base.nu:.6g})", np.inf, 0)
 
     @property
     def grid(self) -> Grid:
@@ -270,11 +267,10 @@ class ShiftedOperator:
         """
         lu = self.lu
         rows = b.reshape(-1, self.grid.dof)
-        with _FACTOR_SOLVE_LOCK:
-            if self.coarsest:
-                x = lu.solve(rows.T).T
-            else:
-                x = np.array([lu.solve(row) for row in rows])
+        if self.coarsest:
+            x = lu.solve(rows.T).T
+        else:
+            x = np.array([lu.solve(row) for row in rows])
         return x.reshape(b.shape)
 
 
@@ -299,8 +295,7 @@ def smooth(op: ShiftedOperator, u: np.ndarray, b: np.ndarray,
         lower, rows = op.gauss_seidel_factor, (-1, op.grid.dof)
         for _ in range(count):
             r = op.residual(u, b).reshape(rows)
-            with _FACTOR_SOLVE_LOCK:
-                du = lower.solve(r.T)
+            du = lower.solve(r.T)
             u = u + du.T.reshape(u.shape)
     else:  # jacobi, or jor-rb as a red and then a black half-sweep
         weights = op.smoother_weights(cfg.smoother, cfg.omega)

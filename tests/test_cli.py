@@ -175,6 +175,11 @@ class TestResolvedLines:
         assert again == cfg
 
 
+# --set values of a two-level IPFASST single run
+IPFASST_TWO_LEVELS = ["variant=IPFASST", "levels=2", "nodes=3,2",
+                      "orders=2,2"]
+
+
 class TestMainExitCodes:
     def test_single_run_succeeds(self, tmp_path, capsys):
         out = tmp_path / "res.csv"
@@ -297,20 +302,31 @@ class TestMainExitCodes:
         assert err[0].startswith("numerical failure: sub-step 1:")
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("variant", [
-        ["--set", "variant=ISDC"],
-        ["--set", "executor=threaded", "--set", "variant=IPFASST",
-         "--set", "levels=2", "--set", "nodes=3,2", "--set", "orders=2,2",
-         "--set", "p=2"]],
-        ids=["ISDC", "IPFASST-threaded"])
+    @pytest.mark.parametrize("settings", [
+        ["variant=ISDC", "policy=tolerance:1e-10", "nu=1e308"],
+        ["executor=threaded", *IPFASST_TWO_LEVELS, "p=2",
+         "policy=tolerance:1e-10", "nu=1e308"],
+        # SuperLU used to raise "Factor is exactly singular"
+        ["nu=1e308"],
+        [*IPFASST_TWO_LEVELS, "p=2", "policy=fixed:2", "nu=1e308"],
+        # used to run every iteration on NaN states and write a CSV
+        [*IPFASST_TWO_LEVELS, "n_x=32", "n_t=4", "p=4", "policy=fixed:2",
+         "nu=1e306"],
+        ["executor=threaded", *IPFASST_TWO_LEVELS, "n_x=32", "n_t=4", "p=4",
+         "policy=fixed:2", "nu=1e306"]],
+        ids=["ISDC", "IPFASST-threaded", "SDC-direct", "IPFASST-fixed",
+             "IPFASST-fixed-nu-1e306", "IPFASST-fixed-nu-1e306-threaded"])
     def test_numerical_failure_writes_one_line(self, tmp_path, capsys,
-                                               variant, deadline):
-        # nu=1e308 overflows the operator itself; NumPy's warnings must
-        # not precede the failure line, also from the rank threads
+                                               settings, deadline):
+        # nu=1e308, and nu=1e306 at n_x=32, overflow the operator itself;
+        # NumPy's warnings must not precede the failure line, also from
+        # the rank threads
         out = tmp_path / "res.csv"
-        code = deadline(main, ["single-run", "--out", str(out)] + variant +
-                        ["--set", "policy=tolerance:1e-10", "--set",
-                         "n_x=16", "--set", "n_t=2", "--set", "nu=1e308"])
+        args = ["single-run", "--out", str(out), "--set", "n_x=16",
+                "--set", "n_t=2"]
+        for setting in settings:
+            args += ["--set", setting]
+        code = deadline(main, args)
         assert code == 3
         assert not out.exists()
         err = capsys.readouterr().err.splitlines()

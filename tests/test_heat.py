@@ -322,7 +322,8 @@ class TestSymbolsAndSolutions:
         assert np.max(np.abs(u)) <= np.max(np.abs(initial_condition(g, k))) + EPS
 
 
-SCALAR_LAMBDAS = [-1e6, -50.0, -2.0, -1e-3, 0.5]
+# 8 * 2**-1022 is the smallest magnitude whose eighth is a normal number
+SCALAR_LAMBDAS = [-1e6, -50.0, -2.0, -1e-3, 0.5, 8 * 2.0**-1022]
 
 
 class TestScalarOperator:

@@ -204,6 +204,16 @@ class TestShiftedOperator:
         with pytest.raises(ValueError, match="finite and non-negative"):
             shifted(sigma=sigma)
 
+    @pytest.mark.parametrize("nu, sigma", [(1e308, 0.25), (1e308, 0.0),
+                                           (1e300, 1e10)])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_rejects_overflowing_operator(self, nu, sigma):
+        # an infinite or NaN I - sigma*A used to reach SuperLU, which
+        # reported a singular factor, or V-cycles, which ran on NaN states
+        with pytest.raises(MultigridError, match="is not finite"):
+            shifted(1, 16, sigma=sigma, nu=nu)
+
     def test_direct_solve_residual(self):
         op = shifted(3, 8, sigma=0.05)
         rng = np.random.default_rng(1)
@@ -399,28 +409,40 @@ class TestSmoothers:
         with pytest.raises(ValueError):
             band[0, 0] = 0.0  # shared by every sweep and thread
 
-    def test_shared_1d_operator_sweeps_from_threads(self):
-        """Eight threads sweep on one shared 1D operator, which the 1D
-        path does without a lock; each sweep must equal the serial one
-        bit for bit.  The threads race on the band's first build too."""
-        op = ShiftedOperator(HeatOperator(Grid(1, 64), order=4), 0.01)
-        serial_op = ShiftedOperator(HeatOperator(Grid(1, 64), order=4), 0.01)
-        cfg = MgConfig(smoother="gauss-seidel")
+    @pytest.mark.parametrize("factor", ["1d-band", "3d-gauss-seidel-triangle",
+                                        "3d-lu"])
+    def test_shared_factor_solves_from_threads(self, factor):
+        """Eight threads solve on one shared factor, as the threaded
+        executor's ranks do, with no lock: the 1D Gauss-Seidel band
+        (dtbtrs), the 3D Gauss-Seidel triangle (SuperLU) or the full LU of
+        a 3D `Direct` solve (SuperLU, one grid at a time).  Every solve
+        must equal the serial one bit for bit, on one grid and on two
+        stacked; the threads race on the factor's first build too."""
+        grid, order = (Grid(1, 64), 4) if factor == "1d-band" else (
+            Grid(3, 16), 2)
+        op = ShiftedOperator(HeatOperator(grid, order=order), 0.01)
+        serial_op = ShiftedOperator(HeatOperator(grid, order=order), 0.01)
+        if factor == "3d-lu":
+            def work_on(shared, u, b):
+                return solve(shared, u, b, MgConfig(), Direct()).u
+        else:
+            def work_on(shared, u, b):
+                return smooth(shared, u, b, MgConfig(smoother="gauss-seidel"),
+                              2)
         rng = np.random.default_rng(21)
-        cases = [(rng.standard_normal(63), rng.standard_normal(63))
-                 for _ in range(8)]
-        expected = [smooth(serial_op, u, b, cfg, 2).tobytes()
-                    for u, b in cases]
-        sweeps = [0] * len(cases)
+        cases = [(rng.standard_normal(shape), rng.standard_normal(shape))
+                 for shape in [grid.shape, (2,) + grid.shape] * 4]
+        expected = [work_on(serial_op, u, b).tobytes() for u, b in cases]
+        solves = [0] * len(cases)
         mismatches = []
         stop = time.monotonic() + 1.0
 
         def work(i):
             u, b = cases[i]
-            while sweeps[i] == 0 or time.monotonic() < stop:
-                if smooth(op, u, b, cfg, 2).tobytes() != expected[i]:
+            while solves[i] == 0 or time.monotonic() < stop:
+                if work_on(op, u, b).tobytes() != expected[i]:
                     mismatches.append(i)
-                sweeps[i] += 1
+                solves[i] += 1
 
         threads = [threading.Thread(target=work, args=(i,), daemon=True)
                    for i in range(len(cases))]
@@ -435,7 +457,7 @@ class TestSmoothers:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not mismatches
-        assert min(sweeps) > 0
+        assert min(solves) > 0
 
     @pytest.mark.parametrize("count", [1, 2])
     @pytest.mark.parametrize("omega", [1.0, 2.0 / 3.0])

@@ -64,6 +64,17 @@ PIPELINE_CASES = {
     "strong-3d-jor-rb": lambda: (
         *preset_case("strong-3d", n_x=16, n_t=2, p=2),
         [[15, 17]]),
+    # the threads share each level's SuperLU Gauss-Seidel triangle and
+    # the coarsest grid's LU, and solve on them with no lock
+    "strong-3d-gauss-seidel": lambda: (
+        *preset_case("strong-3d", n_x=8, n_t=2, p=2, smoother="gauss-seidel"),
+        [[15, 16]]),
+    # direct solves on shared LU factors: one grid at a time on the fine
+    # level, all grids in one call on the coarsest
+    "strong-3d-direct": lambda: (
+        *preset_case("strong-3d", n_x=8, n_t=2, p=2, variant="PFASST",
+                     policy="direct"),
+        [[15, 17]]),
 }
 
 
@@ -590,22 +601,27 @@ class TestCachedSetup:
     def test_threaded_cold_start_matches_serial(self, cold_caches, deadline,
                                                 monkeypatch):
         # four workers, one per rank whatever the core count, race to
-        # build the shared operators and factors; a short switch interval
-        # makes them interleave often
+        # build the shared operators and factors: in 1D the bands, in 3D
+        # the SuperLU Gauss-Seidel triangles and the coarsest grid's LU,
+        # which no 1D run has built; a short switch interval makes them
+        # interleave often
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        levels = make_levels()
-        u0 = initial_condition(levels[0].grid, 1)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = deadline(pfasst_run, levels, u0, 0.25, p=4,
-                                tol=1e-10, max_iter=12, executor="threaded")
-        finally:
-            sys.setswitchinterval(interval)
-        serial = pfasst_run(levels, u0, 0.25, p=4, tol=1e-10, max_iter=12)
-        np.testing.assert_array_equal(threaded.u, serial.u)
-        assert threaded.rank_iterations == serial.rank_iterations
-        assert threaded.rank_vcycles == serial.rank_vcycles
+        for dim, n in [(1, 32), (3, 16)]:
+            levels = make_levels(n, dim=dim)
+            u0 = initial_condition(levels[0].grid, 1)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = deadline(pfasst_run, levels, u0, 0.25, p=4,
+                                    tol=1e-10, max_iter=12,
+                                    executor="threaded")
+            finally:
+                sys.setswitchinterval(interval)
+            serial = pfasst_run(levels, u0, 0.25, p=4, tol=1e-10,
+                                max_iter=12)
+            np.testing.assert_array_equal(threaded.u, serial.u)
+            assert threaded.rank_iterations == serial.rank_iterations
+            assert threaded.rank_vcycles == serial.rank_vcycles
 
 
 class TestWorkers:

@@ -58,6 +58,28 @@ def test_every_definition_is_used_in_the_package():
     assert unused == set(NO_CALLER_IN_PACKAGE)
 
 
+CONCURRENCY_MODULES = {"threading", "concurrent", "contextvars"}
+
+
+def test_only_pfasst_imports_concurrency():
+    """Threads live in the time-parallel executor alone: no other module
+    imports threading, concurrent.futures or contextvars.  Where a
+    module's thread-safety is in doubt, a test settles it, not a lock."""
+    importers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] in CONCURRENCY_MODULES
+                   for name in names):
+                importers.add(path.name)
+    assert importers <= {"pfasst.py"}
+
+
 def _modules_after(statement: str) -> set[str]:
     """Names in sys.modules after `statement` in a fresh interpreter that
     imports pintlab from this checkout."""
