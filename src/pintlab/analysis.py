@@ -30,20 +30,16 @@ def damping_factor(table: QuadratureTable, lam_dt: float) -> float:
 
 @dataclass(frozen=True)
 class DampingScan:
-    lam_dt: np.ndarray  # strictly decreasing, <= 0
+    lam_dt: np.ndarray  # LAM_DT_GRID
     rho: np.ndarray
 
 
-def default_grid(n_points: int = 200) -> np.ndarray:
-    """Logarithmic grid on the negative real axis, |z| from 1e-3 to 1e6."""
-    return -np.logspace(-3.0, 6.0, n_points)
+# The points of every scan: |z| logarithmic from 1e-3 to 1e6 on the
+# negative real axis, strictly decreasing.
+LAM_DT_GRID = -np.logspace(-3.0, 6.0, 200)
+LAM_DT_GRID.setflags(write=False)
 
 
-def damping_scan(table: QuadratureTable,
-                 lam_dt_grid: np.ndarray | None = None) -> DampingScan:
-    grid = default_grid() if lam_dt_grid is None else np.asarray(lam_dt_grid)
-    if np.any(grid > 0):
-        raise ValueError("scan is restricted to the negative real axis")
-    grid = np.sort(grid)[::-1]
-    rho = np.array([damping_factor(table, z) for z in grid])
-    return DampingScan(lam_dt=grid, rho=rho)
+def damping_scan(table: QuadratureTable) -> DampingScan:
+    rho = np.array([damping_factor(table, z) for z in LAM_DT_GRID])
+    return DampingScan(lam_dt=LAM_DT_GRID, rho=rho)

@@ -197,14 +197,17 @@ def burn_in(ts: TimeStep, dt: float) -> np.ndarray:
     return ts.sweep(len(ts.levels) - 1, dt)
 
 
-def interpolate_up(ts: TimeStep, spread: list[NodeStates]) -> None:
+def interpolate_up(ts: TimeStep) -> None:
     """Propagate the burn-in coarse state to the finer levels.
 
-    `spread[l]`, only read, is the pre-burn-in state of level l + 1
-    (restricted from the spread fine state), for one rank or for each;
-    the fine level's is not needed.
+    Burn-in sweeps only the coarsest level, so every finer level still
+    holds its spread; restricting it gives the coarser level's state from
+    before burn-in, the value that the correction is taken against.
     """
     levels, states = ts.levels, ts.states
     for l in range(len(levels) - 2, -1, -1):
-        coarse_correction(states[l], spread[l].y, states[l + 1],
-                          levels[l], levels[l + 1])
+        fine, coarse = levels[l], levels[l + 1]
+        spread = restrict_space(
+            states[l].y[time_restriction(fine.table.m, coarse.table.m)],
+            fine, coarse)
+        coarse_correction(states[l], spread, states[l + 1], fine, coarse)

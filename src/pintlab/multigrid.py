@@ -32,8 +32,11 @@ block), and each stacked grid gets the bits that it gets alone.  A 1D
 sweep is one dtbtrs call for all grids, which runs one dtbsv per grid; a
 2D or 3D sweep is one SuperLU solve with a right-hand side per grid, and
 so is a coarsest-grid solve, but a larger direct factor solves one grid
-at a time (see `ShiftedOperator.solve_direct`).  Tolerance solves stop
-each grid at its own cycle count and report its own status.
+at a time (see `ShiftedOperator.solve_direct`).  A tolerance solve runs
+each V-cycle on the grids still iterating, gathered by index, and stops
+each grid at its own count: converged at its target, or stalled once a
+V-cycle keeps more than STALL_FACTOR of its residual; a grid that does
+neither within MAX_CYCLES V-cycles raises.
 """
 
 from __future__ import annotations
@@ -82,17 +85,11 @@ class FixedCycles:
 
 @dataclass(frozen=True)
 class ToTolerance:
-    tol: float = 1e-12
-    stall: float = 0.75
-    max_cycles: int = 100
+    tol: float
 
     def __post_init__(self):
         if not 0.0 < self.tol < np.inf:  # NaN fails every comparison
             raise ValueError("tolerance must be positive and finite")
-        if not 0.0 < self.stall < 1.0:
-            raise ValueError("stall factor must be in (0, 1)")
-        if self.max_cycles < 1:
-            raise ValueError("need at least one V-cycle")
 
 
 @dataclass(frozen=True)
@@ -111,6 +108,14 @@ GRID_CACHE_SIZE = 64
 SHIFT_CACHE_SIZE = 256
 
 COARSEST_N = 4  # V-cycles solve grids this coarse directly
+
+# A V-cycle that keeps more than this share of a grid's residual has
+# stalled at its roundoff floor: a working one cuts it tenfold or more.
+STALL_FACTOR = 0.75
+# Tolerance solves raise at this many V-cycles: a grid that has cut its
+# residual by 0.75**100 < 1e-12 and still neither converged nor stalled
+# contracts too slowly to be worth more cycles.
+MAX_CYCLES = 100
 
 
 class MultigridError(RuntimeError):
@@ -362,41 +367,33 @@ def solve(op: ShiftedOperator, u0: np.ndarray, b: np.ndarray,
             u = v_cycle(op, u, b, cfg)
         return SolveResult(u, np.full(stacking, policy.cycles),
                            np.full(stacking, "fixed", dtype=object))
-    # ToTolerance: each grid to its own relative residual, with stall
-    # detection.  V-cycles run on the grids still iterating, gathered
-    # into (u_run, b_run) only when one stops.
+    # ToTolerance: each grid to its own relative residual.  V-cycles run
+    # on `run`, the indices of the grids still iterating.  A zero
+    # right-hand side has the zero solution, whose residual is exactly 0.
     rows = b.reshape((-1,) + op.grid.shape)
     u = np.array(u0, dtype=float).reshape(rows.shape)
     cycles = np.zeros(len(rows), int)
     status = np.full(len(rows), "converged", dtype=object)
     bnorm = _norms(rows.reshape(len(rows), op.grid.dof))
     u[bnorm == 0.0] = 0.0
-    run = np.flatnonzero(bnorm != 0.0)
-    u_run, b_run = (u, rows) if len(run) == len(rows) else (u[run], rows[run])
-    res = _finite_residuals(op, u_run, b_run, 0)
-    target = policy.tol * bnorm[run]
-    going = res > target
+    res = _finite_residuals(op, u, rows, 0)
+    target = policy.tol * bnorm
+    run = np.flatnonzero(res > target)
     count = 0
-    while True:
-        if not going.all():
-            u[run[~going]] = u_run[~going]
-            run, u_run, b_run, res, target = (
-                a[going] for a in (run, u_run, b_run, res, target))
-        if not run.size:
-            break
-        if count >= policy.max_cycles:
+    while run.size:
+        if count >= MAX_CYCLES:
             raise MultigridError(
                 f"no convergence after {count} V-cycles "
-                f"(relative residual {res[0] / bnorm[run[0]]:.3e})",
-                res[0], count)
-        u_run = v_cycle(op, u_run, b_run, cfg)
+                f"(relative residual {res[run[0]] / bnorm[run[0]]:.3e})",
+                res[run[0]], count)
+        u[run] = v_cycle(op, u[run], rows[run], cfg)
         count += 1
         cycles[run] = count
-        new = _finite_residuals(op, u_run, b_run, count)
-        above = new > target
-        stalled = above & (new >= policy.stall * res)
+        new = _finite_residuals(op, u[run], rows[run], count)
+        above = new > target[run]
+        stalled = above & (new >= STALL_FACTOR * res[run])
         status[run[stalled]] = "stalled"
-        res = new
-        going = above & ~stalled
+        res[run] = new
+        run = run[above & ~stalled]
     return SolveResult(u.reshape(b.shape), cycles.reshape(stacking),
                        status.reshape(stacking))

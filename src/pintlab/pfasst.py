@@ -120,15 +120,11 @@ class _BlockEngine:
         self.p = p
         self.workers = workers
         self.pool = pool
-        # every rank starts from the same spread
-        spread = TimeStep.spread(levels, u0[None]).states
-        # each level's node states of all ranks, (node, rank, *grid)
+        # each level's node states of all ranks, (node, rank, *grid), every
+        # rank starting from the same spread
         self.states = [NodeStates(s.table, s.y.repeat(p, axis=1),
-                                  s.f.repeat(p, axis=1)) for s in spread]
-        # the coarser levels' spread, read-only: what interpolate_up reads
-        self.spread = spread[1:]
-        for states in self.spread:
-            states.y.flags.writeable = states.f.flags.writeable = False
+                                  s.f.repeat(p, axis=1))
+                       for s in TimeStep.spread(levels, u0[None]).states]
         self.vcycles = np.zeros(p, int)
         self.iterations = [0] * p
         self.converged = [False] * p
@@ -176,8 +172,7 @@ class _BlockEngine:
 
     def predictor_finalize(self, first: int, stop: int) -> None:
         self._in_parts(
-            lambda a, b: interpolate_up(self.ranks(a, b), self.spread),
-            first, stop)
+            lambda a, b: interpolate_up(self.ranks(a, b)), first, stop)
 
     # ------------------------------------------------------------------
     # main iteration

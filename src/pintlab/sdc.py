@@ -79,7 +79,6 @@ class SubStepError(RuntimeError):
     def __init__(self, substep: int, cause: MultigridError):
         super().__init__(f"sub-step {substep}: {cause}")
         self.substep = substep
-        self.cause = cause
 
 
 def sdc_sweep(states: NodeStates, dt: float, op, mg_cfg: MgConfig,

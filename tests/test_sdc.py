@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from pintlab import multigrid
 from pintlab.analysis import damping_factor
 from pintlab.heat import Grid, HeatOperator, initial_condition, scalar_operator
-from pintlab.multigrid import Direct, FixedCycles, MgConfig, ToTolerance
+from pintlab.multigrid import (Direct, FixedCycles, MgConfig, MultigridError,
+                               ToTolerance)
 from pintlab.quadrature import uniform_table
 from pintlab.sdc import (
     NodeStates,
@@ -132,17 +134,19 @@ class TestSweep:
         used = sdc_sweep(states, 0.01, op, MgConfig(), FixedCycles(2))
         assert used.tolist() == [2 * 2]  # two sub-steps, two cycles each
 
-    def test_substep_error_annotated(self):
+    def test_substep_error_annotated(self, monkeypatch):
         g = Grid(1, 16)
         op = HeatOperator(g, 1.0, 2)
         u0 = initial_condition(g, 1)
         states = NodeStates.spread(op, uniform_table(2), u0[None])
         # stall factor near one keeps the healthy V-cycle from being
         # classified as stalled, so the cycle cap is what trips
-        policy = ToTolerance(1e-15, stall=1.0 - 1e-12, max_cycles=1)
+        monkeypatch.setattr(multigrid, "STALL_FACTOR", 1.0 - 1e-12)
+        monkeypatch.setattr(multigrid, "MAX_CYCLES", 1)
         with pytest.raises(SubStepError) as exc:
-            sdc_sweep(states, 0.01, op, MgConfig(), policy)
+            sdc_sweep(states, 0.01, op, MgConfig(), ToTolerance(1e-15))
         assert exc.value.substep >= 1
+        assert isinstance(exc.value.__cause__, MultigridError)
 
 
 class TestResidual:

@@ -58,6 +58,81 @@ def test_every_definition_is_used_in_the_package():
     assert unused == set(NO_CALLER_IN_PACKAGE)
 
 
+# Defaults that no call in the package passes, and why they stay.
+DEFAULT_NOT_SET_IN_PACKAGE = {
+    "main.argv": "the console-script entry point, where argparse reads "
+                 "sys.argv",
+    **{f"PfasstResult.{name}": "a result list that the engine fills"
+       for name in ("rank_iterations", "rank_vcycles", "converged", "trace",
+                    "final_values")},
+}
+
+
+def _with_default(fn: ast.FunctionDef, params: list[ast.arg]):
+    """(position, name) of the positional parameters with a default, and
+    (-1, name) of the keyword-only ones."""
+    first = len(params) - len(fn.args.defaults)
+    positional = [(i, a.arg) for i, a in enumerate(params) if i >= first]
+    keyword = [(-1, a.arg) for a, d in zip(fn.args.kwonlyargs,
+                                           fn.args.kw_defaults) if d]
+    return positional + keyword
+
+
+def _defaults(trees: list[ast.Module]) -> dict[str, list[tuple[int, str]]]:
+    """Called name -> (position or -1, name) of each parameter with a
+    default: a function's under its own name (a method's without its
+    first parameter, an __init__'s under its class name), and a
+    dataclass's fields in order, which its generated __init__ takes."""
+    found, methods = {}, set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for m in node.body:
+            if isinstance(m, ast.FunctionDef):
+                methods.add(m)
+                static = any(ast.unparse(d) == "staticmethod"
+                             for d in m.decorator_list)
+                params = m.args.posonlyargs + m.args.args
+                owner = node.name if m.name == "__init__" else m.name
+                found.setdefault(owner, []).extend(
+                    _with_default(m, params if static else params[1:]))
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            found.setdefault(node.name, []).extend(
+                (i, f.target.id) for i, f in enumerate(fields)
+                if f.value is not None)
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.FunctionDef) and node not in methods:
+            found.setdefault(node.name, []).extend(
+                _with_default(node, node.args.posonlyargs + node.args.args))
+    return found
+
+
+def test_every_default_is_set_in_the_package():
+    """Every parameter and dataclass field with a default is passed by some
+    call in the package, matched by the called name (a call with * or **
+    passes everything it could): a default that only tests override is an
+    option no run of the package can change."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted(SOURCE.glob("*.py"))]
+    defaults, passed = _defaults(trees), set()
+    for call in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(call, ast.Call):
+            continue
+        func = call.func
+        owner = (func.id if isinstance(func, ast.Name) else
+                 func.attr if isinstance(func, ast.Attribute) else None)
+        keywords = {k.arg for k in call.keywords}  # None for **
+        starred = any(isinstance(a, ast.Starred) for a in call.args)
+        passed.update(
+            f"{owner}.{name}" for i, name in defaults.get(owner, [])
+            if None in keywords or name in keywords
+            or 0 <= i and (starred or i < len(call.args)))
+    unset = {f"{owner}.{name}" for owner, params in defaults.items()
+             for _, name in params} - passed
+    assert unset == set(DEFAULT_NOT_SET_IN_PACKAGE)
+
+
 CONCURRENCY_MODULES = {"threading", "concurrent", "contextvars"}
 
 
